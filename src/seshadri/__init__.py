@@ -23,12 +23,10 @@ from .cluster import (
 )
 from .conditions import (
     Candidate,
-    MultDecomp,
     candidate_search,
     condition_count,
     constants_table,
     discard_search,
-    feasibility_bound,
     h0_plane,
 )
 from .covering import (
@@ -41,25 +39,20 @@ from .covering import (
     steffens_bounds,
 )
 from .exact import (
-    Rat,
     RatMatrix,
     SurdValue,
     int_sqrt_floor,
     is_perfect_square,
-    kernel_dimension,
     surd_compare,
 )
-from .intersection import IntersectionQuery, local_intersection, veronese_bound
+from .intersection import local_intersection
 from .series import (
     INF,
     AtLeast,
     BiSeries,
     PrecisionError,
     XSeries,
-    ord_x,
     order_meets,
-    series_mul,
-    series_substitute_y,
 )
 from .witness import WitnessProblem, WitnessVerdict, n8_certificate, solve_witness
 
@@ -71,12 +64,9 @@ __all__ = [
     "ClusterResult",
     "CoveringSpec",
     "INF",
-    "IntersectionQuery",
     "KNOWN_PLANE_CONSTANTS",
     "LocalCurve",
-    "MultDecomp",
     "PrecisionError",
-    "Rat",
     "RatMatrix",
     "SeshadriBounds",
     "SurdValue",
@@ -89,27 +79,21 @@ __all__ = [
     "condition_count",
     "constants_table",
     "discard_search",
-    "feasibility_bound",
     "h0_plane",
     "int_sqrt_floor",
     "is_perfect_square",
-    "kernel_dimension",
     "local_intersection",
     "n8_certificate",
     "nagata_conjectural",
     "nagata_upper",
     "normalize_branch",
     "numeric_inequality_check",
-    "ord_x",
     "order_meets",
     "pullback_mult",
-    "series_mul",
-    "series_substitute_y",
     "solve_witness",
     "steffens_bounds",
     "surd_compare",
     "verify_cluster_sum",
-    "veronese_bound",
 ]
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ from .covering import (
 from .exact import SurdValue, surd_compare
 from .parsing import ParseError, parse_branch, parse_curve, parse_surd
 from .series import AtLeast, PrecisionError
-from .witness import WitnessProblem, n8_certificate, solve_witness
+from .witness import VerificationError, WitnessProblem, n8_certificate, solve_witness
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -269,7 +269,7 @@ def cmd_cluster(args) -> tuple[Report, int]:
         raise UsageError(str(exc))
     if curve_series.is_zero:
         raise UsageError("the zero curve has no multiplicity sequence")
-    curve = normalize_branch(LocalCurve(curve_series, label=text.strip()), branch)
+    curve = normalize_branch(LocalCurve(curve_series), branch)
     result = cluster_multiplicities(curve, args.n)
     pm = pullback_mult(curve, args.n)
     indeterminate = not result.determinate or isinstance(pm, AtLeast)
@@ -417,6 +417,9 @@ def main(argv: list[str] | None = None) -> int:
     except PrecisionError as exc:
         print(f"precision shortfall: {exc}", file=sys.stderr)
         return EXIT_PRECISION
+    except VerificationError as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
     print(report.render(args.format))
     return code
 

@@ -36,11 +36,6 @@ class LocalCurve:
     """A curve germ at the origin, given by a truncated or polynomial series."""
 
     series: BiSeries
-    label: str = ""
-
-    @property
-    def passes_through_origin(self) -> bool:
-        return (0, 0) not in self.series.coeffs
 
 
 @dataclass(frozen=True)
@@ -56,11 +51,6 @@ class BranchJet:
     @property
     def precision(self) -> int | float:
         return self.g.precision
-
-    @classmethod
-    def from_coefficients(cls, coefficients, precision: int | float = INF) -> "BranchJet":
-        """Branch from a dense coefficient list starting at x^0 (first entry 0)."""
-        return cls(XSeries.from_coefficients(coefficients, precision))
 
 
 @dataclass(frozen=True)
@@ -78,7 +68,7 @@ class ClusterResult:
 
 def normalize_branch(curve: LocalCurve, branch: BranchJet) -> LocalCurve:
     """Rewrite the curve in coordinates where the branch is {y = 0}."""
-    return LocalCurve(curve.series.translate_y(branch.g), curve.label)
+    return LocalCurve(curve.series.translate_y(branch.g))
 
 
 def _strict_transform(series: BiSeries, mult: int) -> BiSeries:

@@ -13,42 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import SurdValue, int_sqrt_floor, surd_compare
+from .exact import int_sqrt_floor
 
 __all__ = [
-    "MultDecomp",
     "Candidate",
     "condition_count",
     "h0_plane",
     "candidate_search",
-    "feasibility_bound",
     "discard_search",
     "constants_table",
-    "submaximality",
     "REFERENCE_TABLE",
     "REFERENCE_CONSTANTS",
 ]
-
-
-@dataclass(frozen=True)
-class MultDecomp:
-    """Euclidean decomposition m = n*k + r with 0 <= r < n."""
-
-    m: int
-    k: int
-    r: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2 or self.m < 0:
-            raise ValueError("need n >= 2 and m >= 0")
-        if self.m != self.n * self.k + self.r or not 0 <= self.r < self.n:
-            raise ValueError("inconsistent decomposition")
-
-    @classmethod
-    def of(cls, n: int, m: int) -> "MultDecomp":
-        k, r = divmod(m, n)
-        return cls(m=m, k=k, r=r, n=n)
 
 
 def condition_count(n: int, m: int) -> int:
@@ -58,9 +34,12 @@ def condition_count(n: int, m: int) -> int:
     Counts the lattice points (i, n*j) with i + n*j < m; always an integer
     even though the formula has a half in it.
     """
-    d = MultDecomp.of(n, m)
-    count = Fraction(d.k + 1) * (Fraction(n * d.k, 2) + d.r)
-    assert count.denominator == 1, f"condition count came out non-integral for n={n}, m={m}"
+    if n < 2 or m < 0:
+        raise ValueError("need n >= 2 and m >= 0")
+    k, r = divmod(m, n)
+    count = Fraction(k + 1) * (Fraction(n * k, 2) + r)
+    if count.denominator != 1:
+        raise ArithmeticError(f"condition count came out non-integral for n={n}, m={m}")
     return int(count)
 
 
@@ -117,17 +96,6 @@ def candidate_search(n: int, d_max: int) -> Candidate | None:
             return Candidate(n=n, d=d, m=m, h0=h0, conditions=cond,
                              epsilon=Fraction(n * d, m))
     return None
-
-
-def feasibility_bound(n: int) -> bool:
-    """Whether the invariant-divisor method can work at all.
-
-    Combining h^0 > conditions with d^2 n <= m^2 forces 9 d^2 >= m^2 >= n d^2,
-    so nothing is found beyond n = 9.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return n <= 9
 
 
 def discard_search(n: int) -> list[tuple[int, int]]:
@@ -187,9 +155,3 @@ REFERENCE_CONSTANTS: dict[int, Fraction] = {
     8: Fraction(48, 17),
     9: Fraction(3),
 }
-
-
-def submaximality(candidate: Candidate) -> int:
-    """Compare the candidate's constant with the unconditional bound sqrt(n):
-    -1 below, 0 equal (perfect squares), never +1."""
-    return surd_compare(SurdValue(candidate.epsilon), SurdValue(Fraction(1), candidate.n))

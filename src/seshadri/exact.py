@@ -11,23 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
-    "Rat",
     "int_sqrt_floor",
     "is_perfect_square",
     "square_free_split",
     "SurdValue",
     "surd_compare",
     "RatMatrix",
-    "kernel_dimension",
 ]
-
-# The universal scalar. fractions.Fraction already guarantees the normal
-# form this package relies on: lowest terms, positive denominator, exact
-# arithmetic with arbitrary-precision integers.
-Rat = Fraction
 
 
 def int_sqrt_floor(n: int) -> int:
@@ -214,20 +207,6 @@ class RatMatrix:
         self.rows = len(rows)
         self.cols = width
 
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls([[Fraction(0)] * cols for _ in range(rows)], cols=cols)
-
-    def apply(self, vector: Sequence[Fraction | int]) -> list[Fraction]:
-        if len(vector) != self.cols:
-            raise ValueError("vector length does not match column count")
-        vec = [Fraction(v) for v in vector]
-        return [sum((a * x for a, x in zip(row, vec)), Fraction(0)) for row in self.entries]
-
     def rref(self) -> tuple[list[list[Fraction]], list[int]]:
         """Reduced row echelon form and the list of pivot columns."""
         m = [row[:] for row in self.entries]
@@ -250,9 +229,6 @@ class RatMatrix:
                 break
         return m, pivots
 
-    def rank(self) -> int:
-        return len(self.rref()[1])
-
     def kernel(self) -> list[list[Fraction]]:
         """Basis of the right kernel; every vector satisfies self * v = 0 exactly."""
         reduced, pivots = self.rref()
@@ -270,9 +246,3 @@ class RatMatrix:
 
     def __repr__(self) -> str:
         return f"RatMatrix({self.rows}x{self.cols})"
-
-
-def kernel_dimension(m: RatMatrix) -> tuple[int, list[list[Fraction]]]:
-    """Exact nullity of m together with a kernel basis."""
-    basis = m.kernel()
-    return len(basis), basis

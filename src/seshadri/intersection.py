@@ -2,39 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cluster import BranchJet, LocalCurve
-from .conditions import h0_plane
 from .series import AtLeast
 
-__all__ = ["IntersectionQuery", "local_intersection", "veronese_bound"]
+__all__ = ["local_intersection"]
 
 
-@dataclass(frozen=True)
-class IntersectionQuery:
-    """A curve and a branch jet centered at the same origin."""
-
-    curve: LocalCurve
-    branch: BranchJet
-
-
-def local_intersection(query: IntersectionQuery) -> "int | AtLeast":
+def local_intersection(curve: LocalCurve, branch: BranchJet) -> "int | AtLeast":
     """Local intersection number of the curve with the branch {y = g(x)}.
 
     For a smooth branch this is the x-order of the curve's equation evaluated
     along the graph. AtLeast(precision) means the curve vanishes on the whole
     tracked jet of the branch.
     """
-    return query.curve.series.substitute_y(query.branch.g).ord()
-
-
-def veronese_bound(j: int) -> int:
-    """Strict upper bound for the multiplicity of a degree-j curve at a very
-    general branch point: the dimension h^0(O(j)) of its linear system.
-
-    Under the degree-j Veronese map the curve becomes a hyperplane section,
-    and a hyperplane's contact order with a curve at a generic point is less
-    than the ambient dimension. Callers use mult < veronese_bound(j).
-    """
-    return h0_plane(j)
+    return curve.series.substitute_y(branch.g).ord()

@@ -21,14 +21,9 @@ __all__ = [
     "order_meets",
     "XSeries",
     "BiSeries",
-    "series_mul",
-    "series_substitute_y",
-    "ord_x",
 ]
 
 INF = float("inf")
-
-Precision = "int | float"
 
 
 class PrecisionError(ArithmeticError):
@@ -63,8 +58,15 @@ def _validate_precision(precision: int | float) -> int | float:
     raise ValueError(f"precision must be a non-negative integer or INF, got {precision!r}")
 
 
-def _xmul(a: dict[int, Fraction], b: dict[int, Fraction], cap: int | float) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
+def _xmul(a: dict[int, Fraction], b: dict[int, Fraction], cap: int | float,
+          out: dict[int, Fraction] | None = None) -> dict[int, Fraction]:
+    """Product of two x-series coefficient dicts, exponents below cap only.
+
+    The only coefficient-product kernel of the package. With `out` given the
+    product is added into it (and zero sums dropped) instead of a new dict.
+    """
+    if out is None:
+        out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
             e = ea + eb
@@ -78,76 +80,138 @@ def _xmul(a: dict[int, Fraction], b: dict[int, Fraction], cap: int | float) -> d
     return out
 
 
-class XSeries:
-    """Univariate truncated series in x over exact rationals."""
+def _rows(coeffs: dict[tuple[int, int], Fraction]) -> dict[int, dict[int, Fraction]]:
+    """Split x^p y^q coefficients into one x-series per power q of y."""
+    rows: dict[int, dict[int, Fraction]] = {}
+    for (p, q), c in coeffs.items():
+        rows.setdefault(q, {})[p] = c
+    return rows
+
+
+class _Series:
+    """Construction, validation and ring operations shared by XSeries and
+    BiSeries.
+
+    coeffs maps a key to a nonzero Fraction, and every stored key has total
+    degree below precision. A subclass gives the key of the constant
+    monomial (_UNIT), the map from a key to its exponent pair (p, q) that
+    also rejects bad keys (_pair), and the product (_mul).
+    """
 
     __slots__ = ("coeffs", "precision")
 
-    def __init__(self, coeffs: Mapping[int, Fraction | int] | None = None,
-                 precision: int | float = INF):
+    def __init__(self, coeffs: Mapping | None = None, precision: int | float = INF):
         precision = _validate_precision(precision)
-        data: dict[int, Fraction] = {}
-        for e, c in (coeffs or {}).items():
-            if not isinstance(e, int) or e < 0:
-                raise ValueError(f"bad exponent {e!r}")
+        pair = self._pair
+        data = {}
+        for key, c in (coeffs or {}).items():
+            p, q = pair(key)
             c = Fraction(c)
-            if c and e < precision:
-                data[e] = c
+            if c and p + q < precision:
+                data[key] = c
         self.coeffs = data
         self.precision = precision
 
     @classmethod
-    def from_coefficients(cls, coefficients, precision: int | float = INF) -> "XSeries":
-        """Series from a dense coefficient list starting at x^0."""
-        return cls({e: c for e, c in enumerate(coefficients)}, precision)
+    def _normal(cls, coeffs: dict, precision: int | float):
+        """Wrap coefficients that are already nonzero Fractions below precision."""
+        series = object.__new__(cls)
+        series.coeffs = coeffs
+        series.precision = precision
+        return series
 
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def coefficient(self, key) -> Fraction:
+        p, q = self._pair(key)
+        if p + q >= self.precision:
+            raise PrecisionError(f"coefficient of {_monomial_str(p, q) or '1'} "
+                                 f"is beyond precision {self.precision}")
+        return self.coeffs.get(key, Fraction(0))
+
+    def __add__(self, other):
+        prec = min(self.precision, other.precision)
+        out = dict(self.coeffs)
+        for key, c in other.coeffs.items():
+            out[key] = out.get(key, Fraction(0)) + c
+        return type(self)(out, prec)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._normal({k: -c for k, c in self.coeffs.items()}, self.precision)
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            return self._mul(other, min(self.precision, other.precision))
+        factor = Fraction(other)
+        scaled = {k: c * factor for k, c in self.coeffs.items()} if factor else {}
+        return self._normal(scaled, self.precision)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("series powers need a non-negative integer exponent")
+        result = type(self)({self._UNIT: 1}, self.precision)
+        for _ in range(k):
+            result = result * self
+        return result
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.coeffs == other.coeffs and self.precision == other.precision
+
+    def __hash__(self) -> int:
+        return hash((frozenset(self.coeffs.items()), self.precision))
+
+    def __str__(self) -> str:
+        terms = []
+        for key, c in self.coeffs.items():
+            p, q = self._pair(key)
+            terms.append((p + q, q, p, c))
+        pieces: list[str] = []
+        for _, q, p, c in sorted(terms):
+            mono = _monomial_str(p, q)
+            mag = abs(c)
+            body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
+            if not pieces:
+                pieces.append(body if c > 0 else f"-{body}")
+            else:
+                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+        return " ".join(pieces) or "0"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self}, precision={self.precision})"
+
+
+class XSeries(_Series):
+    """Univariate truncated series in x over exact rationals.
+
+    Keys are exponents e for x^e.
+    """
+
+    __slots__ = ()
+    _UNIT = 0
+
+    @staticmethod
+    def _pair(e) -> tuple[int, int]:
+        if not isinstance(e, int) or e < 0:
+            raise ValueError(f"bad exponent {e!r}")
+        return e, 0
+
+    def _mul(self, other: "XSeries", prec: int | float) -> "XSeries":
+        return XSeries._normal(_xmul(self.coeffs, other.coeffs, prec), prec)
 
     def ord(self) -> "int | AtLeast":
         """Least exponent with a nonzero coefficient, or AtLeast(precision)."""
         if self.coeffs:
             return min(self.coeffs)
         return AtLeast(self.precision)
-
-    def coefficient(self, e: int) -> Fraction:
-        if e >= self.precision:
-            raise PrecisionError(f"coefficient of x^{e} is beyond precision {self.precision}")
-        return self.coeffs.get(e, Fraction(0))
-
-    def truncate(self, precision: int | float) -> "XSeries":
-        return XSeries(self.coeffs, min(self.precision, precision))
-
-    def __add__(self, other: "XSeries") -> "XSeries":
-        prec = min(self.precision, other.precision)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return XSeries(out, prec)
-
-    def __sub__(self, other: "XSeries") -> "XSeries":
-        return self + (-other)
-
-    def __neg__(self) -> "XSeries":
-        return XSeries({e: -c for e, c in self.coeffs.items()}, self.precision)
-
-    def __mul__(self, other: "XSeries | Fraction | int"):
-        if isinstance(other, XSeries):
-            prec = min(self.precision, other.precision)
-            return XSeries(_xmul(self.coeffs, other.coeffs, prec), prec)
-        factor = Fraction(other)
-        return XSeries({e: c * factor for e, c in self.coeffs.items()}, self.precision)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "XSeries":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("series powers need a non-negative integer exponent")
-        result = XSeries({0: Fraction(1)}, self.precision)
-        for _ in range(k):
-            result = result * self
-        return result
 
     def compose(self, inner: "XSeries") -> "XSeries":
         """Substitution x -> inner(x); inner must vanish at the origin."""
@@ -172,113 +236,47 @@ class XSeries:
             for _ in range(e - last):
                 power = _xmul(power, inner.coeffs, prec)
             last = e
-            c = self.coeffs[e]
-            for pe, pc in power.items():
-                v = out.get(pe, Fraction(0)) + c * pc
-                if v:
-                    out[pe] = v
-                elif pe in out:
-                    del out[pe]
-        return XSeries(out, prec)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, XSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs and self.precision == other.precision
-
-    def __hash__(self) -> int:
-        return hash((frozenset(self.coeffs.items()), self.precision))
-
-    def __str__(self) -> str:
-        return _format_terms(sorted(self.coeffs.items()),
-                             lambda e: _power_str("x", e))
-
-    def __repr__(self) -> str:
-        return f"XSeries({self}, precision={self.precision})"
+            _xmul({0: self.coeffs[e]}, power, prec, out)
+        return XSeries._normal(out, prec)
 
 
-class BiSeries:
+class BiSeries(_Series):
     """Bivariate truncated series in x and y over exact rationals.
 
     Keys are exponent pairs (p, q) for x^p y^q; precision bounds the total
     degree of tracked monomials.
     """
 
-    __slots__ = ("coeffs", "precision")
+    __slots__ = ()
+    _UNIT = (0, 0)
 
-    def __init__(self, coeffs: Mapping[tuple[int, int], Fraction | int] | None = None,
-                 precision: int | float = INF):
-        precision = _validate_precision(precision)
-        data: dict[tuple[int, int], Fraction] = {}
-        for key, c in (coeffs or {}).items():
-            p, q = key
-            if p < 0 or q < 0:
-                raise ValueError(f"bad exponent pair {key!r}")
-            c = Fraction(c)
-            if c and p + q < precision:
-                data[(p, q)] = c
-        self.coeffs = data
-        self.precision = precision
+    @staticmethod
+    def _pair(key) -> tuple[int, int]:
+        p, q = key
+        if p < 0 or q < 0:
+            raise ValueError(f"bad exponent pair {key!r}")
+        return p, q
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    @staticmethod
+    def _from_rows(rows: dict[int, dict[int, Fraction]], prec: int | float) -> "BiSeries":
+        """Join rows whose row q holds only exponents below prec - q."""
+        return BiSeries._normal({(p, q): c for q, row in rows.items() for p, c in row.items()},
+                                prec)
+
+    def _mul(self, other: "BiSeries", prec: int | float) -> "BiSeries":
+        # row q of the product collects the x-products of rows qa + qb = q
+        rows: dict[int, dict[int, Fraction]] = {}
+        other_rows = _rows(other.coeffs)
+        for qa, a in _rows(self.coeffs).items():
+            for qb, b in other_rows.items():
+                _xmul(a, b, prec - qa - qb, rows.setdefault(qa + qb, {}))
+        return BiSeries._from_rows(rows, prec)
 
     def multiplicity(self) -> "int | AtLeast":
         """Least total degree with a nonzero coefficient (order at the origin)."""
         if self.coeffs:
             return min(p + q for p, q in self.coeffs)
         return AtLeast(self.precision)
-
-    def coefficient(self, key: tuple[int, int]) -> Fraction:
-        p, q = key
-        if p + q >= self.precision:
-            raise PrecisionError(f"coefficient of x^{p} y^{q} is beyond precision {self.precision}")
-        return self.coeffs.get((p, q), Fraction(0))
-
-    def truncate(self, precision: int | float) -> "BiSeries":
-        return BiSeries(self.coeffs, min(self.precision, precision))
-
-    def __add__(self, other: "BiSeries") -> "BiSeries":
-        prec = min(self.precision, other.precision)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return BiSeries(out, prec)
-
-    def __sub__(self, other: "BiSeries") -> "BiSeries":
-        return self + (-other)
-
-    def __neg__(self) -> "BiSeries":
-        return BiSeries({k: -c for k, c in self.coeffs.items()}, self.precision)
-
-    def __mul__(self, other: "BiSeries | Fraction | int"):
-        if isinstance(other, BiSeries):
-            prec = min(self.precision, other.precision)
-            out: dict[tuple[int, int], Fraction] = {}
-            for (pa, qa), ca in self.coeffs.items():
-                for (pb, qb), cb in other.coeffs.items():
-                    p, q = pa + pb, qa + qb
-                    if p + q >= prec:
-                        continue
-                    c = out.get((p, q), Fraction(0)) + ca * cb
-                    if c:
-                        out[(p, q)] = c
-                    elif (p, q) in out:
-                        del out[(p, q)]
-            return BiSeries(out, prec)
-        factor = Fraction(other)
-        return BiSeries({k: c * factor for k, c in self.coeffs.items()}, self.precision)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "BiSeries":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("series powers need a non-negative integer exponent")
-        result = BiSeries({(0, 0): Fraction(1)}, self.precision)
-        for _ in range(k):
-            result = result * self
-        return result
 
     def substitute_y(self, g: XSeries) -> XSeries:
         """Evaluate along y = g(x); result precision is the tightest provable.
@@ -296,9 +294,7 @@ class BiSeries:
                 if q >= 1:
                     extra = (q - 1) * g_ord if q > 1 else 0
                     prec = min(prec, p + extra + g.precision)
-        rows: dict[int, dict[int, Fraction]] = {}
-        for (p, q), c in self.coeffs.items():
-            rows.setdefault(q, {})[p] = c
+        rows = _rows(self.coeffs)
         acc: dict[int, Fraction] = {}
         for q in range(max(rows, default=0), -1, -1):
             acc = _xmul(acc, g.coeffs, prec)
@@ -323,18 +319,12 @@ class BiSeries:
         powers: list[dict[int, Fraction]] = [{0: Fraction(1)}]
         for _ in range(max_q):
             powers.append(_xmul(powers[-1], g.coeffs, prec))
-        out: dict[tuple[int, int], Fraction] = {}
+        # x^p (y + g)^q = sum_j C(q, j) x^p g^(q-j) y^j, collected by j
+        rows: dict[int, dict[int, Fraction]] = {}
         for (p, q), c in self.coeffs.items():
             for j in range(q + 1):
-                w = c * comb(q, j)
-                for e, ge in powers[q - j].items():
-                    key = (p + e, j)
-                    v = out.get(key, Fraction(0)) + w * ge
-                    if v:
-                        out[key] = v
-                    elif key in out:
-                        del out[key]
-        return BiSeries(out, prec)
+                _xmul({p: c * comb(q, j)}, powers[q - j], prec - j, rows.setdefault(j, {}))
+        return BiSeries._from_rows(rows, prec)
 
     def substitute_x(self, h: XSeries) -> "BiSeries":
         """Reparameterize x -> h(x); h must vanish at the origin."""
@@ -347,36 +337,15 @@ class BiSeries:
                 if p >= 1:
                     extra = (p - 1) * h_ord if p > 1 else 0
                     prec = min(prec, extra + q + h.precision)
-        out: dict[tuple[int, int], Fraction] = {}
+        rows: dict[int, dict[int, Fraction]] = {}
         power = {0: Fraction(1)}
         last = 0
         for (p, q), c in sorted(self.coeffs.items()):  # keys ascend in p
             for _ in range(p - last):
                 power = _xmul(power, h.coeffs, prec)
             last = p
-            for e, hc in power.items():
-                key = (e, q)
-                v = out.get(key, Fraction(0)) + c * hc
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
-        return BiSeries(out, prec)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs and self.precision == other.precision
-
-    def __hash__(self) -> int:
-        return hash((frozenset(self.coeffs.items()), self.precision))
-
-    def __str__(self) -> str:
-        ordered = sorted(self.coeffs.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][1], kv[0][0]))
-        return _format_terms(ordered, lambda key: _monomial_str(*key))
-
-    def __repr__(self) -> str:
-        return f"BiSeries({self}, precision={self.precision})"
+            _xmul({0: c}, power, prec - q, rows.setdefault(q, {}))
+        return BiSeries._from_rows(rows, prec)
 
 
 def _power_str(var: str, e: int) -> str:
@@ -390,38 +359,3 @@ def _power_str(var: str, e: int) -> str:
 def _monomial_str(p: int, q: int) -> str:
     parts = [s for s in (_power_str("x", p), _power_str("y", q)) if s]
     return "*".join(parts)
-
-
-def _format_terms(items, monomial) -> str:
-    if not items:
-        return "0"
-    pieces: list[str] = []
-    for key, c in items:
-        mono = monomial(key)
-        mag = abs(c)
-        if not mono:
-            body = str(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{mag}*{mono}"
-        if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(pieces)
-
-
-def series_mul(f: BiSeries, g: BiSeries) -> BiSeries:
-    """Product truncated to the shared precision min(f.precision, g.precision)."""
-    return f * g
-
-
-def series_substitute_y(f: BiSeries, g: XSeries) -> XSeries:
-    """f(x, g(x)) as a univariate series; g must have zero constant term."""
-    return f.substitute_y(g)
-
-
-def ord_x(s: XSeries) -> "int | AtLeast":
-    """Least exponent with nonzero coefficient, or AtLeast(precision)."""
-    return s.ord()

@@ -15,17 +15,21 @@ from fractions import Fraction
 
 from .cluster import BranchJet, LocalCurve
 from .exact import RatMatrix
-from .intersection import IntersectionQuery, local_intersection
+from .intersection import local_intersection
 from .series import AtLeast, BiSeries, PrecisionError, XSeries, order_meets
-from .series import _xmul as _mul_capped
 
 __all__ = [
+    "VerificationError",
     "WitnessProblem",
     "WitnessVerdict",
     "curve_monomials",
     "solve_witness",
     "n8_certificate",
 ]
+
+
+class VerificationError(Exception):
+    """A computed basis curve failed its independent re-check."""
 
 
 def curve_monomials(degree: int) -> list[tuple[int, int]]:
@@ -118,12 +122,12 @@ def solve_witness(problem: WitnessProblem) -> WitnessVerdict:
             row[i] = Fraction(1)
             rows.append(row)
     # coefficients of x^e in x^p g(x)^q, for e below the target order
-    powers: list[dict[int, Fraction]] = [{0: Fraction(1)}]
-    max_q = max(q for _, q in monos)
-    for _ in range(max_q):
-        powers.append(_mul_capped(powers[-1], g.coeffs, problem.target))
+    jet = XSeries(g.coeffs, problem.target)
+    powers = [XSeries({0: 1}, problem.target)]
+    for _ in range(max(q for _, q in monos)):
+        powers.append(powers[-1] * jet)
     for e in range(problem.target):
-        rows.append([powers[q].get(e - p, Fraction(0)) for p, q in monos])
+        rows.append([powers[q].coeffs.get(e - p, Fraction(0)) for p, q in monos])
     matrix = RatMatrix(rows, cols=len(monos))
     basis = matrix.kernel()
     verdict = WitnessVerdict(
@@ -139,14 +143,15 @@ def solve_witness(problem: WitnessProblem) -> WitnessVerdict:
 
 
 def _recheck(verdict: WitnessVerdict, problem: WitnessProblem) -> None:
-    """Defense in depth: basis curves must pass the independent checks."""
+    """Defense in depth: basis curves must pass the independent checks, or
+    VerificationError is raised (an explicit raise, so it holds under -O)."""
     for curve in verdict.basis_curves():
         mult = curve.multiplicity()
-        assert not isinstance(mult, AtLeast) and mult >= problem.mult, \
-            f"basis curve {curve} fails the multiplicity check"
-        contact = local_intersection(IntersectionQuery(LocalCurve(curve), problem.branch))
-        assert order_meets(contact, problem.target), \
-            f"basis curve {curve} fails the contact-order check"
+        if isinstance(mult, AtLeast) or mult < problem.mult:
+            raise VerificationError(f"basis curve {curve} fails the multiplicity check")
+        contact = local_intersection(LocalCurve(curve), problem.branch)
+        if not order_meets(contact, problem.target):
+            raise VerificationError(f"basis curve {curve} fails the contact-order check")
 
 
 def n8_certificate(b: int) -> WitnessVerdict:

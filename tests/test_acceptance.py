@@ -22,7 +22,7 @@ from seshadri.covering import (
     steffens_bounds,
 )
 from seshadri.exact import SurdValue, is_perfect_square
-from seshadri.intersection import IntersectionQuery, local_intersection
+from seshadri.intersection import local_intersection
 from seshadri.series import AtLeast, BiSeries, XSeries
 from seshadri.witness import n8_certificate
 
@@ -162,8 +162,7 @@ def test_criterion_10_intersection_oracle():
             continue
         branch = {e: Fraction(rng.randint(-9, 9)) for e in range(1, rng.randint(2, 7))}
         branch = {e: c for e, c in branch.items() if c}
-        got = local_intersection(IntersectionQuery(
-            LocalCurve(BiSeries(coeffs)), BranchJet(XSeries(branch))))
+        got = local_intersection(LocalCurve(BiSeries(coeffs)), BranchJet(XSeries(branch)))
         expected = resultant_intersection_order(coeffs, branch)
         if expected is None:
             if not isinstance(got, AtLeast):

@@ -269,6 +269,31 @@ def test_json_reports_are_sorted_and_stable(capsys):
     assert out == again
 
 
+# RatMatrix.kernel patched to return a vector outside the kernel: the
+# independent re-check must reject the basis, also with asserts compiled out.
+_BAD_KERNEL = """\
+import sys
+from seshadri import cli, exact
+exact.RatMatrix.kernel = lambda self: [[1] + [0] * (self.cols - 1)]
+sys.exit(cli.main(["witness", "n8"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_witness_failed_recheck_is_verification_failure(flags):
+    repo = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _BAD_KERNEL],
+        capture_output=True, text=True, check=False, timeout=60,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(repo / "src")},
+        cwd=repo,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("verification failure: basis curve 1 fails")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_module_entry_point_runs():
     repo = Path(__file__).resolve().parents[1]
     proc = subprocess.run(

@@ -20,8 +20,8 @@ from seshadri.cluster import (
 from seshadri.series import INF, AtLeast, BiSeries, PrecisionError, XSeries
 
 
-def curve(coeffs, precision=INF, label=""):
-    return LocalCurve(BiSeries(coeffs, precision), label)
+def curve(coeffs, precision=INF):
+    return LocalCurve(BiSeries(coeffs, precision))
 
 
 # ------------------------------------------------------------ normalization
@@ -50,16 +50,11 @@ def test_branch_must_vanish_at_origin():
 
 
 def test_branch_from_coefficient_list():
-    jet = BranchJet.from_coefficients([0, 0, 1, 0, 1])  # x^2 + x^4
+    jet = BranchJet(XSeries(dict(enumerate([0, 0, 1, 0, 1]))))  # x^2 + x^4
     assert jet.g == XSeries({2: 1, 4: 1})
     assert jet.precision == INF
     with pytest.raises(ValueError):
-        BranchJet.from_coefficients([1, 2])
-
-
-def test_local_curve_origin_flag():
-    assert curve({(1, 0): 1}).passes_through_origin
-    assert not curve({(0, 0): 1, (1, 0): 1}).passes_through_origin
+        BranchJet(XSeries(dict(enumerate([1, 2]))))
 
 
 # ------------------------------------------------------------- cluster walk

@@ -11,32 +11,28 @@ from seshadri.conditions import (
     REFERENCE_CONSTANTS,
     REFERENCE_TABLE,
     Candidate,
-    MultDecomp,
     candidate_search,
     condition_count,
     constants_table,
     discard_search,
-    feasibility_bound,
     h0_plane,
-    submaximality,
 )
 from seshadri.covering import KNOWN_PLANE_CONSTANTS
 
 
 # -------------------------------------------------------- condition count
 
-def test_mult_decomp():
-    d = MultDecomp.of(8, 17)
-    assert (d.k, d.r) == (2, 1)
-    with pytest.raises(ValueError):
-        MultDecomp(m=5, k=1, r=2, n=4)  # 4*1+2 != 5
-
-
 def test_condition_count_examples():
     assert condition_count(2, 2) == 2
     assert condition_count(8, 17) == 27
     assert condition_count(7, 8) == 9
     assert condition_count(5, 0) == 0
+
+
+@pytest.mark.parametrize("n, m", [(0, 0), (1, 3), (2, -1)])
+def test_condition_count_rejects_bad_input(n, m):
+    with pytest.raises(ValueError):
+        condition_count(n, m)
 
 
 @given(st.integers(2, 20), st.integers(0, 300))
@@ -94,22 +90,11 @@ def test_candidate_record_invariants():
 
 def test_candidates_stay_below_sqrt_n():
     for n, cand in constants_table():
-        assert cand.d * cand.d * n <= cand.m * cand.m
-        cmp = submaximality(cand)
+        # epsilon = n*d/m against sqrt(n), compared exactly as d^2 n against m^2
         if n in (4, 9):  # perfect squares reach the unconditional bound
-            assert cmp == 0
+            assert cand.d * cand.d * n == cand.m * cand.m
         else:
-            assert cmp == -1
-
-
-# ------------------------------------------------------------ feasibility
-
-def test_feasibility_examples():
-    assert feasibility_bound(9)
-    assert not feasibility_bound(10)
-    assert feasibility_bound(2)
-    with pytest.raises(ValueError):
-        feasibility_bound(1)
+            assert cand.d * cand.d * n < cand.m * cand.m
 
 
 # ---------------------------------------------------------------- discard

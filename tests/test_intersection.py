@@ -9,43 +9,45 @@ from hypothesis import given, strategies as st
 
 from seshadri.cluster import BranchJet, LocalCurve, cluster_multiplicities, normalize_branch
 from seshadri.conditions import h0_plane
-from seshadri.intersection import IntersectionQuery, local_intersection, veronese_bound
+from seshadri.intersection import local_intersection
 from seshadri.series import AtLeast, BiSeries, XSeries, order_meets
 
 from oracles import resultant_intersection_order
 
 
 def query(curve_coeffs, branch_coeffs, precision=None):
+    """The (curve, branch) arguments of local_intersection."""
     series = BiSeries(curve_coeffs)
     g = XSeries(branch_coeffs) if precision is None else XSeries(branch_coeffs, precision)
-    return IntersectionQuery(LocalCurve(series), BranchJet(g))
+    return LocalCurve(series), BranchJet(g)
 
 
 def test_branch_tangency_order_two():
-    assert local_intersection(query({(0, 1): 1}, {2: 1, 4: 1, 8: 1})) == 2
+    assert local_intersection(*query({(0, 1): 1}, {2: 1, 4: 1, 8: 1})) == 2
 
 
 def test_transverse_line_order_one():
-    assert local_intersection(query({(1, 0): 1}, {2: 1, 4: 1, 8: 1})) == 1
-    assert local_intersection(query({(1, 0): 1}, {})) == 1
+    assert local_intersection(*query({(1, 0): 1}, {2: 1, 4: 1, 8: 1})) == 1
+    assert local_intersection(*query({(1, 0): 1}, {})) == 1
 
 
 def test_cancellation_to_order_eight():
     # y - x^2 - x^4 against the branch x^2 + x^4 + x^8
-    assert local_intersection(query({(0, 1): 1, (2, 0): -1, (4, 0): -1},
-                                    {2: 1, 4: 1, 8: 1})) == 8
+    assert local_intersection(*query({(0, 1): 1, (2, 0): -1, (4, 0): -1},
+                                     {2: 1, 4: 1, 8: 1})) == 8
 
 
 def test_curve_containing_branch_jet_gives_sentinel():
-    result = local_intersection(query({(0, 1): 1, (2, 0): -1}, {2: 1}, precision=9))
+    result = local_intersection(*query({(0, 1): 1, (2, 0): -1}, {2: 1}, precision=9))
     assert result == AtLeast(9)
 
 
 def test_veronese_bound_values():
-    assert veronese_bound(1) == 3
-    assert veronese_bound(2) == 6
-    assert veronese_bound(3) == 10
-    assert veronese_bound(0) == h0_plane(0) == 1
+    # the contact bound at a very general branch point is h0(O(j))
+    assert h0_plane(1) == 3
+    assert h0_plane(2) == 6
+    assert h0_plane(3) == 10
+    assert h0_plane(0) == 1
 
 
 curves = st.dictionaries(
@@ -59,13 +61,13 @@ branches = st.dictionaries(st.integers(1, 6), st.integers(-9, 9), max_size=4)
 
 @given(curves, branches)
 def test_intersection_dominates_multiplicity(curve_coeffs, branch_coeffs):
-    q = query(curve_coeffs, branch_coeffs)
-    if q.curve.series.is_zero:
+    curve, branch = query(curve_coeffs, branch_coeffs)
+    if curve.series.is_zero:
         return
-    mult = q.curve.series.multiplicity()
+    mult = curve.series.multiplicity()
     # the branch is smooth, so the intersection order is at least the
     # curve multiplicity at the origin
-    assert order_meets(local_intersection(q), mult)
+    assert order_meets(local_intersection(curve, branch), mult)
 
 
 def test_matches_resultant_oracle_on_random_instances():
@@ -82,7 +84,7 @@ def test_matches_resultant_oracle_on_random_instances():
             continue
         branch_coeffs = {e: Fraction(rng.randint(-9, 9)) for e in range(1, rng.randint(2, 6))}
         branch_coeffs = {e: c for e, c in branch_coeffs.items() if c}
-        got = local_intersection(query(curve_coeffs, branch_coeffs))
+        got = local_intersection(*query(curve_coeffs, branch_coeffs))
         expected = resultant_intersection_order(curve_coeffs, branch_coeffs)
         if expected is None:
             assert isinstance(got, AtLeast)
@@ -100,5 +102,5 @@ def test_intersection_dominates_cluster_sum(curve_coeffs, branch_coeffs, n):
     if normalized.series.is_zero:
         return
     res = cluster_multiplicities(normalized, n)
-    contact = local_intersection(IntersectionQuery(LocalCurve(series), branch))
+    contact = local_intersection(LocalCurve(series), branch)
     assert order_meets(contact, res.total)

@@ -13,10 +13,7 @@ from seshadri.series import (
     BiSeries,
     PrecisionError,
     XSeries,
-    ord_x,
     order_meets,
-    series_mul,
-    series_substitute_y,
 )
 
 coeffs = st.integers(min_value=-9, max_value=9)
@@ -39,14 +36,14 @@ def x_series(max_deg=8, precision=st.sampled_from([INF, 6, 8, 10])):
     )
 
 
-# ----------------------------------------------------------------- ord_x
+# ------------------------------------------------------------------- ord
 
 def test_ord_basic():
-    assert ord_x(XSeries({3: 1, 5: 1})) == 3
+    assert XSeries({3: 1, 5: 1}).ord() == 3
 
 
 def test_ord_zero_series_sentinel():
-    assert ord_x(XSeries({}, 12)) == AtLeast(12)
+    assert XSeries({}, 12).ord() == AtLeast(12)
     assert str(AtLeast(12)) == ">= 12"
 
 
@@ -57,21 +54,21 @@ def test_order_meets_semantics():
     assert order_meets(AtLeast(INF), 10**9)
 
 
-# ------------------------------------------------------------- series_mul
+# ---------------------------------------------------------- multiplication
 
 def test_mul_example_one_minus_x_squared():
     f = BiSeries({(0, 0): 1, (1, 0): 1}, 10)
     g = BiSeries({(0, 0): 1, (1, 0): -1}, 10)
-    assert series_mul(f, g) == BiSeries({(0, 0): 1, (2, 0): -1}, 10)
+    assert f * g == BiSeries({(0, 0): 1, (2, 0): -1}, 10)
 
 
 def test_mul_by_zero_keeps_precision():
     f = BiSeries({(0, 0): 1, (1, 0): 1}, 10)
     zero = BiSeries({}, 10)
-    prod = series_mul(f, zero)
+    prod = f * zero
     assert prod.is_zero and prod.precision == 10
     # an exact zero also caps at f's precision under the min rule
-    assert series_mul(f, BiSeries({})).precision == 10
+    assert (f * BiSeries({})).precision == 10
 
 
 def test_square_truncated_at_nine():
@@ -89,6 +86,17 @@ def test_mul_drops_beyond_shared_precision():
 @given(bi_series(), bi_series())
 def test_mul_commutative(f, g):
     assert f * g == g * f
+
+
+@given(bi_series(), bi_series())
+def test_mul_matches_termwise_expansion(f, g):
+    # every pair of terms, truncated once at the end: the product without rows
+    expected: dict[tuple[int, int], Fraction] = {}
+    for (pa, qa), ca in f.coeffs.items():
+        for (pb, qb), cb in g.coeffs.items():
+            key = (pa + pb, qa + qb)
+            expected[key] = expected.get(key, Fraction(0)) + ca * cb
+    assert f * g == BiSeries(expected, min(f.precision, g.precision))
 
 
 @given(bi_series(max_deg=4), bi_series(max_deg=4), bi_series(max_deg=4))
@@ -116,33 +124,33 @@ def test_ord_additive(f, g):
 def test_substitute_identity_on_y():
     f = BiSeries({(0, 1): 1})
     g = XSeries({2: 1, 4: 1, 8: 1})
-    assert series_substitute_y(f, g) == g
+    assert f.substitute_y(g) == g
 
 
 def test_substitute_kills_branch_jet():
     f = BiSeries({(0, 1): 1, (2, 0): -1})  # y - x^2
-    out = series_substitute_y(f, XSeries({2: 1}))
+    out = f.substitute_y(XSeries({2: 1}))
     assert out.is_zero and out.precision == INF
 
 
 def test_substitute_xy_with_certified_tail():
     f = BiSeries({(1, 1): 1})  # x*y
     g = XSeries({2: 1, 4: 1, 8: 1}, 10)
-    out = series_substitute_y(f, g)
+    out = f.substitute_y(g)
     assert out.coeffs == {3: Fraction(1), 5: Fraction(1), 9: Fraction(1)}
     # tightest provable: x * (unknown tail of g) starts at 1 + 10
     assert out.precision == 11
-    assert ord_x(out) == 3
+    assert out.ord() == 3
 
 
 def test_substitute_requires_vanishing_constant():
     with pytest.raises(ValueError):
-        series_substitute_y(BiSeries({(0, 1): 1}), XSeries({0: 1, 2: 1}))
+        BiSeries({(0, 1): 1}).substitute_y(XSeries({0: 1, 2: 1}))
 
 
 def test_substitute_exact_zero_branch():
     f = BiSeries({(0, 1): 1, (3, 0): 2})
-    out = series_substitute_y(f, XSeries({}))
+    out = f.substitute_y(XSeries({}))
     assert out == XSeries({3: 2})
 
 
@@ -151,7 +159,7 @@ def test_substitute_exact_zero_branch():
 def test_substitute_polynomial_matches_expansion(f, gdict):
     # brute-force expansion oracle over exact polynomials
     g = XSeries(gdict)
-    out = series_substitute_y(f, g)
+    out = f.substitute_y(g)
     expected: dict[int, Fraction] = {}
     for (p, q), c in f.coeffs.items():
         gq = XSeries({0: 1})
@@ -188,18 +196,16 @@ def test_translate_precision_cut():
 
 # --------------------------------------------------------------- precision
 
-def test_truncate_is_monotone():
-    s = XSeries({1: 1, 4: 2}, 10)
-    t = s.truncate(3)
-    assert t == XSeries({1: 1}, 3)
-    assert s.truncate(20) == s
-
-
 def test_coefficient_beyond_precision_raises():
     s = XSeries({1: 1}, 4)
     assert s.coefficient(3) == 0
     with pytest.raises(PrecisionError):
         s.coefficient(4)
+
+
+def test_cross_type_equality_is_not_implemented():
+    assert XSeries({}).__eq__(BiSeries({})) is NotImplemented
+    assert XSeries({0: 1}) != BiSeries({(0, 0): 1})
 
 
 def test_precision_validation():
