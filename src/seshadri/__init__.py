@@ -14,12 +14,10 @@ truncated power series with certified precision). No floating point.
 from .cluster import (
     BranchJet,
     ClusterResult,
-    LocalCurve,
     branch_from_implicit,
     cluster_multiplicities,
     normalize_branch,
     pullback_mult,
-    verify_cluster_sum,
 )
 from .conditions import (
     Candidate,
@@ -65,7 +63,6 @@ __all__ = [
     "CoveringSpec",
     "INF",
     "KNOWN_PLANE_CONSTANTS",
-    "LocalCurve",
     "PrecisionError",
     "RatMatrix",
     "SeshadriBounds",
@@ -93,7 +90,6 @@ __all__ = [
     "solve_witness",
     "steffens_bounds",
     "surd_compare",
-    "verify_cluster_sum",
 ]
 
 __version__ = "0.1.0"

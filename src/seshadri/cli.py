@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .cluster import LocalCurve, cluster_multiplicities, normalize_branch, pullback_mult
-from .conditions import REFERENCE_CONSTANTS, REFERENCE_TABLE, candidate_search
+from .cluster import cluster_multiplicities, normalize_branch, pullback_mult
+from .conditions import REFERENCE_CONSTANTS, REFERENCE_TABLE, constants_table
 from .covering import (
     KNOWN_PLANE_CONSTANTS,
     CoveringSpec,
@@ -37,6 +37,9 @@ EXIT_PRECISION = 3
 
 PRECISION_ENV = "SESHADRI_PRECISION_DEFAULT"
 APPROX_DIGITS = 20
+# the walk pads its multiplicity list with zeros out to n, and the report
+# prints every entry
+MAX_CLUSTER_N = 10_000
 
 
 class UsageError(Exception):
@@ -195,17 +198,14 @@ def cmd_table(args) -> tuple[Report, int]:
         raise UsageError("--dmax must be at least 1")
     rows = []
     ok = True
-    for n in range(2, 10):
-        cand = candidate_search(n, args.dmax)
+    for n, cand in constants_table(args.dmax):
         if cand is None:
             rows.append([n, "-", "-", "-", "-", "-"])
             ok = False
             continue
         rows.append([n, cand.d, cand.m, cand.h0, cand.conditions, _fraction_str(cand.epsilon)])
-        if (cand.d, cand.m, cand.h0, cand.conditions) != REFERENCE_TABLE[n]:
-            ok = False
-        if cand.epsilon != REFERENCE_CONSTANTS[n]:
-            ok = False
+        ok = (ok and (cand.d, cand.m, cand.h0, cand.conditions) == REFERENCE_TABLE[n]
+              and cand.epsilon == REFERENCE_CONSTANTS[n])
     report = Report(
         command="table",
         inputs={"dmax": args.dmax},
@@ -262,6 +262,8 @@ def cmd_cluster(args) -> tuple[Report, int]:
             raise UsageError(f"cannot read curve file: {exc}")
     if args.n < 1:
         raise UsageError("--n must be at least 1")
+    if args.n > MAX_CLUSTER_N:
+        raise UsageError(f"--n must be at most {MAX_CLUSTER_N}")
     try:
         curve_series = parse_curve(text)
         branch = parse_branch(args.branch, precision)
@@ -269,7 +271,7 @@ def cmd_cluster(args) -> tuple[Report, int]:
         raise UsageError(str(exc))
     if curve_series.is_zero:
         raise UsageError("the zero curve has no multiplicity sequence")
-    curve = normalize_branch(LocalCurve(curve_series), branch)
+    curve = normalize_branch(curve_series, branch)
     result = cluster_multiplicities(curve, args.n)
     pm = pullback_mult(curve, args.n)
     indeterminate = not result.determinate or isinstance(pm, AtLeast)
@@ -327,17 +329,16 @@ def cmd_witness(args) -> tuple[Report, int]:
         inputs = {"branch": args.branch.strip(), "degree": args.degree,
                   "mult": args.mult, "target": args.target, "precision": precision}
         provenance = ["exact kernel of the multiplicity and contact-order conditions"]
-    payload = verdict.to_jsonable()
     report = Report(
         command="witness",
         inputs=inputs,
         results={
-            "exists": payload["exists"],
-            "kernel_dim": payload["kernel_dim"],
-            "unknowns": payload["unknowns"],
-            "conditions": payload["conditions"],
-            "basis": payload["basis_curves"],
-            "basis_vectors": payload["basis_vectors"],
+            "exists": verdict.exists,
+            "kernel_dim": verdict.kernel_dim,
+            "unknowns": verdict.unknowns,
+            "conditions": verdict.conditions,
+            "basis": [str(curve) for curve in verdict.basis_curves()],
+            "basis_vectors": [[str(c) for c in vec] for vec in verdict.basis],
         },
         provenance=provenance,
     )

@@ -17,25 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import INF, AtLeast, BiSeries, PrecisionError, XSeries
+from .series import INF, AtLeast, BiSeries, XSeries
 
 __all__ = [
-    "LocalCurve",
     "BranchJet",
     "ClusterResult",
     "normalize_branch",
     "cluster_multiplicities",
     "pullback_mult",
-    "verify_cluster_sum",
     "branch_from_implicit",
 ]
-
-
-@dataclass(frozen=True)
-class LocalCurve:
-    """A curve germ at the origin, given by a truncated or polynomial series."""
-
-    series: BiSeries
 
 
 @dataclass(frozen=True)
@@ -66,9 +57,9 @@ class ClusterResult:
     determinate: bool
 
 
-def normalize_branch(curve: LocalCurve, branch: BranchJet) -> LocalCurve:
-    """Rewrite the curve in coordinates where the branch is {y = 0}."""
-    return LocalCurve(curve.series.translate_y(branch.g))
+def normalize_branch(curve: BiSeries, branch: BranchJet) -> BiSeries:
+    """Rewrite the curve germ in coordinates where the branch is {y = 0}."""
+    return curve.translate_y(branch.g)
 
 
 def _strict_transform(series: BiSeries, mult: int) -> BiSeries:
@@ -85,7 +76,7 @@ def _strict_transform(series: BiSeries, mult: int) -> BiSeries:
     return BiSeries(out, prec)
 
 
-def cluster_multiplicities(curve: LocalCurve, n: int) -> ClusterResult:
+def cluster_multiplicities(curve: BiSeries, n: int) -> ClusterResult:
     """Multiplicity sequence of a branch-normalized curve along the first n
     infinitely near points of the branch.
 
@@ -95,9 +86,9 @@ def cluster_multiplicities(curve: LocalCurve, n: int) -> ClusterResult:
     """
     if n < 1:
         raise ValueError("need at least one cluster point")
-    s = curve.series
-    if s.is_zero and s.precision == INF:
+    if curve.is_zero and curve.precision == INF:
         raise ValueError("the zero curve has no multiplicity sequence")
+    s = curve
     mults: list[int] = []
     determinate = True
     for _ in range(n):
@@ -114,7 +105,7 @@ def cluster_multiplicities(curve: LocalCurve, n: int) -> ClusterResult:
     return ClusterResult(tuple(mults), sum(mults), determinate)
 
 
-def pullback_mult(curve: LocalCurve, n: int) -> "int | AtLeast":
+def pullback_mult(curve: BiSeries, n: int) -> "int | AtLeast":
     """Multiplicity of the pullback divisor at the ramification point.
 
     For the curve sum a_pq x^p y^q downstairs, the pullback under the degree
@@ -123,25 +114,9 @@ def pullback_mult(curve: LocalCurve, n: int) -> "int | AtLeast":
     """
     if n < 1:
         raise ValueError("covering degree must be positive")
-    s = curve.series
-    if not s.coeffs:
-        return AtLeast(s.precision)
-    return min(p + n * q for p, q in s.coeffs)
-
-
-def verify_cluster_sum(curve: LocalCurve, n: int) -> bool:
-    """Whether the pullback multiplicity equals the sum of the n cluster
-    multiplicities (true for every curve; exposed for verification).
-
-    Raises PrecisionError when the input precision cannot certify either side.
-    """
-    result = cluster_multiplicities(curve, n)
-    if not result.determinate:
-        raise PrecisionError("cluster walk ran out of precision; re-run with more tracked terms")
-    pm = pullback_mult(curve, n)
-    if isinstance(pm, AtLeast):
-        raise PrecisionError("curve is zero to its precision; pullback multiplicity unknown")
-    return pm == result.total
+    if not curve.coeffs:
+        return AtLeast(curve.precision)
+    return min(p + n * q for p, q in curve.coeffs)
 
 
 def branch_from_implicit(f: BiSeries, precision: int) -> BranchJet:

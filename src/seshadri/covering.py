@@ -28,21 +28,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CoveringSpec:
-    """Covering data: degree n, self-intersection of the ample generator,
-    and (for coverings of the plane) the branch degree parameter b, meaning
-    the branch divisor is a plane curve of degree n*b."""
+    """Covering data: degree n and self-intersection of the ample generator."""
 
     n: int
     L2: int = 1
-    b: int | None = None
 
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError("covering degree must be at least 2")
         if self.L2 < 1:
             raise ValueError("L^2 must be positive")
-        if self.b is not None and self.b < 1:
-            raise ValueError("branch parameter b must be positive")
 
     @property
     def pullback_self_intersection(self) -> int:

@@ -95,18 +95,9 @@ class SurdValue:
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "radicand", rad)
 
-    @classmethod
-    def from_rational(cls, value: Fraction | int) -> "SurdValue":
-        return cls(Fraction(value), 1)
-
     @property
     def is_rational(self) -> bool:
         return self.radicand == 1
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is irrational")
-        return self.coeff
 
     def sign(self) -> int:
         if self.coeff > 0:
@@ -128,18 +119,6 @@ class SurdValue:
         return SurdValue(self.coeff * Fraction(other), self.radicand)
 
     __rmul__ = __mul__
-
-    def __lt__(self, other: "SurdValue") -> bool:
-        return surd_compare(self, other) < 0
-
-    def __le__(self, other: "SurdValue") -> bool:
-        return surd_compare(self, other) <= 0
-
-    def __gt__(self, other: "SurdValue") -> bool:
-        return surd_compare(self, other) > 0
-
-    def __ge__(self, other: "SurdValue") -> bool:
-        return surd_compare(self, other) >= 0
 
     def __str__(self) -> str:
         if self.radicand == 1:

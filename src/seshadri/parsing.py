@@ -9,6 +9,9 @@ and parentheses:
     factor = atom ["^" uint]
     atom   = uint ["/" uint] | "x" | "y" | "(" expr ")"
 
+A product or power whose total degree would exceed MAX_DEGREE is rejected
+before it is expanded, and so is an exponent above MAX_DEGREE.
+
 Curves may also be given as a list of monomial lines "p q coeff" with coeff
 an integer or num/den. Branches are either explicit graphs "y = poly(x)" or
 an implicit polynomial F(x, y) solved for y at the requested precision.
@@ -41,6 +44,13 @@ class ParseError(ValueError):
 _TOKEN_RE = re.compile(r"\s*(\d+|[xy*^+()/-])")
 
 _ONE = BiSeries({(0, 0): 1})
+
+# expanding a power costs about the cube of its degree
+MAX_DEGREE = 64
+
+
+def _degree(poly: BiSeries) -> int:
+    return max((p + q for p, q in poly.coeffs), default=0)
 
 
 def _tokenize(text: str) -> list[str]:
@@ -84,17 +94,23 @@ class _Parser:
             result = result + self.term() * sign
         return result
 
+    def check_degree(self, degree: int) -> None:
+        if degree > MAX_DEGREE:
+            raise ParseError(f"total degree {degree} exceeds the limit {MAX_DEGREE} "
+                             f"in {self.source!r}")
+
     def term(self) -> BiSeries:
         result = self.factor()
         while True:
             tok = self.peek()
             if tok == "*":
                 self.take()
-                result = result * self.factor()
-            elif tok is not None and (tok.isdigit() or tok in ("x", "y", "(")):
-                result = result * self.factor()  # adjacency
-            else:
+            elif tok is None or not (tok.isdigit() or tok in ("x", "y", "(")):
                 return result
+            # "*" or adjacency
+            right = self.factor()
+            self.check_degree(_degree(result) + _degree(right))
+            result = result * right
 
     def factor(self) -> BiSeries:
         base = self.atom()
@@ -103,7 +119,11 @@ class _Parser:
             tok = self.take()
             if not tok.isdigit():
                 raise ParseError(f"exponent must be a non-negative integer in {self.source!r}")
-            return base ** int(tok)
+            k = int(tok)
+            self.check_degree(_degree(base) * k)
+            if k > MAX_DEGREE:  # constants are powered by repeated products too
+                raise ParseError(f"exponent {k} exceeds the limit {MAX_DEGREE} in {self.source!r}")
+            return base ** k
         return base
 
     def atom(self) -> BiSeries:
@@ -164,6 +184,9 @@ def parse_terms(text: str) -> BiSeries:
             raise ParseError(f"bad monomial line {line!r}")
         seen = True
         key = (int(m.group(1)), int(m.group(2)))
+        if sum(key) > MAX_DEGREE:
+            raise ParseError(f"total degree {sum(key)} exceeds the limit {MAX_DEGREE} "
+                             f"in {line!r}")
         coeffs[key] = coeffs.get(key, Fraction(0)) + Fraction(m.group(3))
     if not seen:
         raise ParseError("no monomial lines found")

@@ -213,32 +213,6 @@ class XSeries(_Series):
             return min(self.coeffs)
         return AtLeast(self.precision)
 
-    def compose(self, inner: "XSeries") -> "XSeries":
-        """Substitution x -> inner(x); inner must vanish at the origin."""
-        if not order_meets(inner.ord(), 1):
-            raise ValueError("composition requires inner(0) = 0")
-        if inner.is_zero and inner.precision == INF:
-            return XSeries({0: self.coeffs.get(0, Fraction(0))}, INF)
-        inner_ord = min(inner.coeffs) if inner.coeffs else inner.precision
-        prec = INF
-        if self.precision != INF:
-            prec = self.precision * inner_ord
-        if inner.precision != INF:
-            positive = [e for e in self.coeffs if e >= 1]
-            if positive:
-                e1 = min(positive)
-                extra = (e1 - 1) * inner_ord if e1 > 1 else 0
-                prec = min(prec, extra + inner.precision)
-        out: dict[int, Fraction] = {}
-        power = {0: Fraction(1)}
-        last = 0
-        for e in sorted(self.coeffs):
-            for _ in range(e - last):
-                power = _xmul(power, inner.coeffs, prec)
-            last = e
-            _xmul({0: self.coeffs[e]}, power, prec, out)
-        return XSeries._normal(out, prec)
-
 
 class BiSeries(_Series):
     """Bivariate truncated series in x and y over exact rationals.
@@ -324,27 +298,6 @@ class BiSeries(_Series):
         for (p, q), c in self.coeffs.items():
             for j in range(q + 1):
                 _xmul({p: c * comb(q, j)}, powers[q - j], prec - j, rows.setdefault(j, {}))
-        return BiSeries._from_rows(rows, prec)
-
-    def substitute_x(self, h: XSeries) -> "BiSeries":
-        """Reparameterize x -> h(x); h must vanish at the origin."""
-        if not order_meets(h.ord(), 1):
-            raise ValueError("substitution requires h(0) = 0")
-        h_ord = min(h.coeffs) if h.coeffs else h.precision
-        prec = self.precision
-        if h.precision != INF:
-            for (p, q) in self.coeffs:
-                if p >= 1:
-                    extra = (p - 1) * h_ord if p > 1 else 0
-                    prec = min(prec, extra + q + h.precision)
-        rows: dict[int, dict[int, Fraction]] = {}
-        power = {0: Fraction(1)}
-        last = 0
-        for (p, q), c in sorted(self.coeffs.items()):  # keys ascend in p
-            for _ in range(p - last):
-                power = _xmul(power, h.coeffs, prec)
-            last = p
-            _xmul({0: c}, power, prec - q, rows.setdefault(q, {}))
         return BiSeries._from_rows(rows, prec)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cluster import BranchJet, LocalCurve
+from .cluster import BranchJet
 from .exact import RatMatrix
 from .intersection import local_intersection
 from .series import AtLeast, BiSeries, PrecisionError, XSeries, order_meets
@@ -92,18 +92,6 @@ class WitnessVerdict:
             for vec in self.basis
         ]
 
-    def to_jsonable(self) -> dict:
-        """JSON-ready payload with deterministic content."""
-        return {
-            "exists": self.exists,
-            "kernel_dim": self.kernel_dim,
-            "unknowns": self.unknowns,
-            "conditions": self.conditions,
-            "monomials": [f"x^{p}*y^{q}" for p, q in self.monomials],
-            "basis_vectors": [[str(c) for c in vec] for vec in self.basis],
-            "basis_curves": [str(curve) for curve in self.basis_curves()],
-        }
-
 
 def solve_witness(problem: WitnessProblem) -> WitnessVerdict:
     """Decide whether a curve with the prescribed data exists, with a basis.
@@ -149,7 +137,7 @@ def _recheck(verdict: WitnessVerdict, problem: WitnessProblem) -> None:
         mult = curve.multiplicity()
         if isinstance(mult, AtLeast) or mult < problem.mult:
             raise VerificationError(f"basis curve {curve} fails the multiplicity check")
-        contact = local_intersection(LocalCurve(curve), problem.branch)
+        contact = local_intersection(curve, problem.branch)
         if not order_meets(contact, problem.target):
             raise VerificationError(f"basis curve {curve} fails the contact-order check")
 

@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 
 from seshadri.cli import main as cli_main
-from seshadri.cluster import BranchJet, LocalCurve, cluster_multiplicities, normalize_branch, pullback_mult
+from seshadri.cluster import BranchJet, cluster_multiplicities, pullback_mult
 from seshadri.conditions import candidate_search, constants_table, discard_search
 from seshadri.covering import (
     KNOWN_PLANE_CONSTANTS,
@@ -105,7 +105,7 @@ def test_criterion_06_cluster_sum_property():
         coeffs = {k: c for k, c in coeffs.items() if c}
         if not coeffs:
             continue
-        curve = LocalCurve(BiSeries(coeffs))
+        curve = BiSeries(coeffs)
         for n in range(2, 7):
             result = cluster_multiplicities(curve, n)
             if not result.determinate or pullback_mult(curve, n) != result.total:
@@ -162,7 +162,7 @@ def test_criterion_10_intersection_oracle():
             continue
         branch = {e: Fraction(rng.randint(-9, 9)) for e in range(1, rng.randint(2, 7))}
         branch = {e: c for e, c in branch.items() if c}
-        got = local_intersection(LocalCurve(BiSeries(coeffs)), BranchJet(XSeries(branch)))
+        got = local_intersection(BiSeries(coeffs), BranchJet(XSeries(branch)))
         expected = resultant_intersection_order(coeffs, branch)
         if expected is None:
             if not isinstance(got, AtLeast):

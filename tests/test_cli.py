@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,17 @@ def run(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*args) -> subprocess.CompletedProcess:
+    """A child interpreter with a stripped environment, from the repo root."""
+    repo = Path(__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, check=False, timeout=60,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(repo / "src")},
+        cwd=repo,
+    )
 
 
 # ------------------------------------------------------------------- table
@@ -148,6 +160,26 @@ def test_cluster_implicit_branch_verifies(capsys):
                        "--branch", "y+y^2-x^2", "--n", "4", "--precision", "24")
     assert code == 0
     assert "verified\ttrue" in out
+
+
+def test_cluster_degree_limit(capsys):
+    code, out, _ = run(capsys, "cluster", "--curve", "x^64", "--n", "2")
+    assert code == 0 and "mults\t64,0" in out
+    # rejected while parsing: expanding them would take seconds to minutes
+    for curve in ("(1+x+y)^65", "((x+y)^9)^9"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "cluster", "--curve", curve, "--n", "2")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: total degree") and "limit 64" in err
+
+
+def test_cluster_n_limit(capsys):
+    code, _, _ = run(capsys, "cluster", "--curve", "x", "--n", "10000")
+    assert code == 0
+    code, out, err = run(capsys, "cluster", "--curve", "x", "--n", "10001")
+    assert code == 1 and out == ""
+    assert err == "usage error: --n must be at most 10000\n"
 
 
 def test_cluster_rejects_garbage(capsys):
@@ -281,13 +313,7 @@ sys.exit(cli.main(["witness", "n8"]))
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_witness_failed_recheck_is_verification_failure(flags):
-    repo = Path(__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", _BAD_KERNEL],
-        capture_output=True, text=True, check=False, timeout=60,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(repo / "src")},
-        cwd=repo,
-    )
+    proc = run_python(*flags, "-c", _BAD_KERNEL)
     assert proc.returncode == 2
     assert proc.stderr.startswith("verification failure: basis curve 1 fails")
     assert "Traceback" not in proc.stderr
@@ -295,12 +321,17 @@ def test_witness_failed_recheck_is_verification_failure(flags):
 
 
 def test_module_entry_point_runs():
-    repo = Path(__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-m", "seshadri", "table"],
-        capture_output=True, text=True, check=False, timeout=60,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(repo / "src")},
-        cwd=repo,
-    )
+    proc = run_python("-m", "seshadri", "table")
     assert proc.returncode == 0
     assert "48/17" in proc.stdout
+
+
+def test_acceptance_criteria_pass_without_asserts():
+    # python -O compiles the library's asserts out, so no check the criteria
+    # rest on may be an assert; each criterion prints one PASS or FAIL line
+    proc = run_python("-O", "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
+                      "tests/test_acceptance.py")
+    # each line follows the progress dot of the test before it
+    assert proc.stdout.count("[PASS] criterion ") == 10, proc.stdout
+    assert "[FAIL]" not in proc.stdout, proc.stdout
+    assert proc.returncode == 0, proc.stdout

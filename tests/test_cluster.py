@@ -10,18 +10,22 @@ from hypothesis import given, settings, strategies as st
 
 from seshadri.cluster import (
     BranchJet,
-    LocalCurve,
     branch_from_implicit,
     cluster_multiplicities,
     normalize_branch,
     pullback_mult,
-    verify_cluster_sum,
 )
-from seshadri.series import INF, AtLeast, BiSeries, PrecisionError, XSeries
+from seshadri.series import INF, AtLeast, BiSeries, XSeries
 
 
 def curve(coeffs, precision=INF):
-    return LocalCurve(BiSeries(coeffs, precision))
+    return BiSeries(coeffs, precision)
+
+
+def cluster_sum_holds(c, n):
+    """The pullback multiplicity is certified equal to the cluster sum."""
+    res = cluster_multiplicities(c, n)
+    return res.determinate and pullback_mult(c, n) == res.total
 
 
 # ------------------------------------------------------------ normalization
@@ -29,19 +33,19 @@ def curve(coeffs, precision=INF):
 def test_normalize_curve_equal_to_branch_jet():
     c = curve({(0, 1): 1, (2, 0): -1})  # y - x^2
     out = normalize_branch(c, BranchJet(XSeries({2: 1})))
-    assert out.series == BiSeries({(0, 1): 1})
+    assert out == BiSeries({(0, 1): 1})
 
 
 def test_normalize_zero_branch_is_identity():
     c = curve({(0, 1): 1})
     out = normalize_branch(c, BranchJet(XSeries({})))
-    assert out.series == c.series
+    assert out == c
 
 
 def test_normalize_expands_powers():
     c = curve({(0, 2): 1, (3, 0): -1})  # y^2 - x^3
     out = normalize_branch(c, BranchJet(XSeries({2: 1})))
-    assert out.series == BiSeries({(0, 2): 1, (2, 1): 2, (4, 0): 1, (3, 0): -1})
+    assert out == BiSeries({(0, 2): 1, (2, 1): 2, (4, 0): 1, (3, 0): -1})
 
 
 def test_branch_must_vanish_at_origin():
@@ -76,7 +80,6 @@ def test_invariant_quintic_example():
     res = cluster_multiplicities(c, 3)
     assert res.mults == (2, 2, 1) and res.total == 5
     assert pullback_mult(c, 3) == 5
-    assert verify_cluster_sum(c, 3)
 
 
 def test_unit_curve_stops_walk():
@@ -113,16 +116,9 @@ def test_pullback_zero_to_precision_sentinel():
 
 # ---------------------------------------------------------- sum identity
 
-def test_verify_raises_on_indeterminate():
-    with pytest.raises(PrecisionError):
-        verify_cluster_sum(curve({(0, 1): 1}, precision=3), 4)
-    with pytest.raises(PrecisionError):
-        verify_cluster_sum(curve({}, precision=6), 3)
-
-
 def test_verify_trivial_cases():
-    assert verify_cluster_sum(curve({(1, 0): 1}), 5)
-    assert verify_cluster_sum(curve({(0, 0): 2}), 3)
+    assert cluster_sum_holds(curve({(1, 0): 1}), 5)
+    assert cluster_sum_holds(curve({(0, 0): 2}), 3)
 
 
 sparse_curves = st.dictionaries(
@@ -136,15 +132,15 @@ sparse_curves = st.dictionaries(
 @given(sparse_curves, st.integers(2, 6))
 def test_sum_identity_property(coeffs, n):
     c = curve(coeffs)
-    if c.series.is_zero:
+    if c.is_zero:
         return
-    assert verify_cluster_sum(c, n)
+    assert cluster_sum_holds(c, n)
 
 
 @given(sparse_curves, st.integers(2, 6))
 def test_chain_bound_property(coeffs, n):
     c = curve(coeffs)
-    if c.series.is_zero:
+    if c.is_zero:
         return
     res = cluster_multiplicities(c, n)
     assert res.determinate
@@ -185,12 +181,13 @@ def test_coordinate_invariance_under_reparameterization():
         gdict = {k: rng.randint(-3, 3) for k in range(1, 5)}
         g = XSeries(gdict)
         lam = rng.choice(h_values)
-        h = XSeries({1: 1, 2: lam})  # x -> x + lam*x^2 fixes the origin
         n = rng.randint(2, 5)
-        base = cluster_multiplicities(normalize_branch(LocalCurve(series), BranchJet(g)), n)
-        moved = cluster_multiplicities(
-            normalize_branch(LocalCurve(series.substitute_x(h)), BranchJet(g.compose(h))), n
-        )
+        # x -> x + lam*x^2 fixes the origin; substitute it into the curve and the branch
+        hx, y, h = BiSeries({(1, 0): 1, (2, 0): lam}), BiSeries({(0, 1): 1}), XSeries({1: 1, 2: lam})
+        moved_series = sum((c * hx**p * y**q for (p, q), c in series.coeffs.items()), BiSeries())
+        moved_g = sum((c * h**e for e, c in g.coeffs.items()), XSeries())
+        base = cluster_multiplicities(normalize_branch(series, BranchJet(g)), n)
+        moved = cluster_multiplicities(normalize_branch(moved_series, BranchJet(moved_g)), n)
         assert base.mults == moved.mults
 
 

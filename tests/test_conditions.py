@@ -144,9 +144,12 @@ def test_constants_table_matches_reference():
 
 
 def test_constants_table_with_tight_dmax():
-    assert constants_table(d_max=6) == constants_table()
-    with pytest.raises(ValueError):
-        constants_table(d_max=1)
+    full = constants_table()
+    assert constants_table(d_max=6) == full
+    # only the degree-1 rows (n = 2, 3, 4) are found; the rest are missing
+    tight = constants_table(d_max=1)
+    assert tight == [(n, cand if cand.d == 1 else None) for n, cand in full]
+    assert [n for n, cand in tight if cand is not None] == [2, 3, 4]
 
 
 def test_table_consistent_with_known_plane_constants():

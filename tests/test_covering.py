@@ -24,8 +24,6 @@ def test_covering_spec_validation():
         CoveringSpec(n=1)
     with pytest.raises(ValueError):
         CoveringSpec(n=2, L2=0)
-    with pytest.raises(ValueError):
-        CoveringSpec(n=2, b=0)
     assert CoveringSpec(n=4).pullback_self_intersection == 4
     assert CoveringSpec(n=3, L2=2).pullback_self_intersection == 6
 

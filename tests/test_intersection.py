@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from seshadri.cluster import BranchJet, LocalCurve, cluster_multiplicities, normalize_branch
+from seshadri.cluster import BranchJet, cluster_multiplicities, normalize_branch
 from seshadri.conditions import h0_plane
 from seshadri.intersection import local_intersection
 from seshadri.series import AtLeast, BiSeries, XSeries, order_meets
@@ -19,7 +19,7 @@ def query(curve_coeffs, branch_coeffs, precision=None):
     """The (curve, branch) arguments of local_intersection."""
     series = BiSeries(curve_coeffs)
     g = XSeries(branch_coeffs) if precision is None else XSeries(branch_coeffs, precision)
-    return LocalCurve(series), BranchJet(g)
+    return series, BranchJet(g)
 
 
 def test_branch_tangency_order_two():
@@ -62,9 +62,9 @@ branches = st.dictionaries(st.integers(1, 6), st.integers(-9, 9), max_size=4)
 @given(curves, branches)
 def test_intersection_dominates_multiplicity(curve_coeffs, branch_coeffs):
     curve, branch = query(curve_coeffs, branch_coeffs)
-    if curve.series.is_zero:
+    if curve.is_zero:
         return
-    mult = curve.series.multiplicity()
+    mult = curve.multiplicity()
     # the branch is smooth, so the intersection order is at least the
     # curve multiplicity at the origin
     assert order_meets(local_intersection(curve, branch), mult)
@@ -98,9 +98,9 @@ def test_matches_resultant_oracle_on_random_instances():
 def test_intersection_dominates_cluster_sum(curve_coeffs, branch_coeffs, n):
     series = BiSeries(curve_coeffs)
     branch = BranchJet(XSeries(branch_coeffs))
-    normalized = normalize_branch(LocalCurve(series), branch)
-    if normalized.series.is_zero:
+    normalized = normalize_branch(series, branch)
+    if normalized.is_zero:
         return
     res = cluster_multiplicities(normalized, n)
-    contact = local_intersection(LocalCurve(series), branch)
+    contact = local_intersection(series, branch)
     assert order_meets(contact, res.total)

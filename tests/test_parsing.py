@@ -57,6 +57,20 @@ def test_parse_errors():
             parse_poly_xy(bad)
 
 
+def test_parse_degree_limit():
+    assert parse_poly_xy("x^64") == BiSeries({(64, 0): 1})
+    assert parse_poly_xy("x^32 y^32") == BiSeries({(32, 32): 1})
+    assert parse_poly_xy("2^64") == BiSeries({(0, 0): 2**64})
+    # products, nested powers and adjacency are all checked before expansion
+    for bad in ("x^65", "(1+x+y)^65", "((x+y)^9)^9", "x^32*y^33", "x^40 y^40", "2^65",
+                "(x^8)^8 x"):
+        with pytest.raises(ParseError, match="limit 64"):
+            parse_poly_xy(bad)
+    assert parse_terms("64 0 1\n0 64 1\n") == BiSeries({(64, 0): 1, (0, 64): 1})
+    with pytest.raises(ParseError, match="limit 64"):
+        parse_terms("30 35 1\n")
+
+
 def test_parse_poly_x_rejects_y():
     assert parse_poly_x("x^2 + 2x") == XSeries({2: 1, 1: 2})
     with pytest.raises(ParseError):

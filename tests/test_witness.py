@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from seshadri.cluster import BranchJet, LocalCurve
+from seshadri.cli import main as cli_main
+from seshadri.cluster import BranchJet
 from seshadri.exact import RatMatrix
 from seshadri.intersection import local_intersection
 from seshadri.series import AtLeast, PrecisionError, XSeries, order_meets
@@ -169,7 +171,7 @@ def test_basis_curves_pass_independent_checks():
     for curve in verdict.basis_curves():
         mult = curve.multiplicity()
         assert not isinstance(mult, AtLeast) and mult >= 1
-        contact = local_intersection(LocalCurve(curve), branch)
+        contact = local_intersection(curve, branch)
         assert order_meets(contact, 4)
 
 
@@ -190,11 +192,12 @@ def test_genericity_probe_reports_zero_failures():
     assert failures == 0
 
 
-def test_verdict_json_payload():
-    verdict = solve_witness(
-        WitnessProblem(BranchJet(XSeries({2: 1})), degree=2, mult=1, target=5))
-    payload = verdict.to_jsonable()
+def test_verdict_json_payload(capsys):
+    code = cli_main(["witness", "--branch", "y=x^2", "--degree", "2", "--mult", "1",
+                     "--target", "5", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)["results"]
+    assert code == 0
     assert payload["exists"] is True
     assert payload["kernel_dim"] == 1
-    assert payload["basis_curves"] == ["-y + x^2"]
+    assert payload["basis"] == ["-y + x^2"]
     assert len(payload["basis_vectors"][0]) == payload["unknowns"] == 6
