@@ -39,7 +39,6 @@ from .covering import (
 from .exact import (
     RatMatrix,
     SurdValue,
-    int_sqrt_floor,
     is_perfect_square,
     surd_compare,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "constants_table",
     "discard_search",
     "h0_plane",
-    "int_sqrt_floor",
     "is_perfect_square",
     "local_intersection",
     "n8_certificate",

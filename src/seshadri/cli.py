@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .cluster import cluster_multiplicities, normalize_branch, pullback_mult
-from .conditions import REFERENCE_CONSTANTS, REFERENCE_TABLE, constants_table
+from .conditions import REFERENCE_TABLE, constants_table
 from .covering import (
     KNOWN_PLANE_CONSTANTS,
     CoveringSpec,
@@ -26,7 +25,7 @@ from .covering import (
     steffens_bounds,
 )
 from .exact import SurdValue, surd_compare
-from .parsing import ParseError, parse_branch, parse_curve, parse_surd
+from .parsing import parse_branch, parse_curve, parse_surd
 from .series import AtLeast, PrecisionError
 from .witness import VerificationError, WitnessProblem, n8_certificate, solve_witness
 
@@ -35,15 +34,15 @@ EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
 EXIT_PRECISION = 3
 
-PRECISION_ENV = "SESHADRI_PRECISION_DEFAULT"
+DEFAULT_PRECISION = 64
 APPROX_DIGITS = 20
 # the walk pads its multiplicity list with zeros out to n, and the report
 # prints every entry
 MAX_CLUSTER_N = 10_000
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """Input the CLI itself rejects; `main` reports every ValueError as one."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,19 +124,6 @@ def _approx_str(value: SurdValue | Fraction, digits: int = APPROX_DIGITS) -> str
     return str(approx)
 
 
-def default_precision() -> int:
-    raw = os.environ.get(PRECISION_ENV)
-    if raw is None:
-        return 64
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"{PRECISION_ENV} must be an integer, got {raw!r}")
-    if value < 1:
-        raise UsageError(f"{PRECISION_ENV} must be positive")
-    return value
-
-
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="seshadri",
@@ -161,8 +147,8 @@ def build_parser() -> _Parser:
     group.add_argument("--curve-file", help="file containing the curve (UTF-8 text)")
     p_cluster.add_argument("--branch", default="y=0", help="branch: 'y=poly(x)' or implicit F(x,y)")
     p_cluster.add_argument("--n", type=int, required=True, help="covering degree / cluster length")
-    p_cluster.add_argument("--precision", type=int, default=None,
-                           help=f"series precision for implicit branches (default ${PRECISION_ENV} or 64)")
+    p_cluster.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
+                           help=f"series precision for implicit branches (default {DEFAULT_PRECISION})")
     _add_format(p_cluster)
 
     p_witness = sub.add_parser("witness", help="curves with prescribed multiplicity and branch contact")
@@ -194,8 +180,6 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_table(args) -> tuple[Report, int]:
-    if args.dmax < 1:
-        raise UsageError("--dmax must be at least 1")
     rows = []
     ok = True
     for n, cand in constants_table(args.dmax):
@@ -204,8 +188,7 @@ def cmd_table(args) -> tuple[Report, int]:
             ok = False
             continue
         rows.append([n, cand.d, cand.m, cand.h0, cand.conditions, _fraction_str(cand.epsilon)])
-        ok = (ok and (cand.d, cand.m, cand.h0, cand.conditions) == REFERENCE_TABLE[n]
-              and cand.epsilon == REFERENCE_CONSTANTS[n])
+        ok = ok and (cand.d, cand.m, cand.h0, cand.conditions) == REFERENCE_TABLE[n]
     report = Report(
         command="table",
         inputs={"dmax": args.dmax},
@@ -225,11 +208,8 @@ def cmd_table(args) -> tuple[Report, int]:
 
 
 def cmd_bounds(args) -> tuple[Report, int]:
-    try:
-        spec = CoveringSpec(n=args.n, L2=args.l2)
-        bounds = steffens_bounds(spec, args.r)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    spec = CoveringSpec(n=args.n, L2=args.l2)
+    bounds = steffens_bounds(spec, args.r)
     report = Report(
         command="bounds",
         inputs={"n": args.n, "l2": args.l2, "r": args.r},
@@ -250,8 +230,7 @@ def cmd_bounds(args) -> tuple[Report, int]:
 
 
 def cmd_cluster(args) -> tuple[Report, int]:
-    precision = args.precision if args.precision is not None else default_precision()
-    if precision < 1:
+    if args.precision < 1:
         raise UsageError("--precision must be at least 1")
     text = args.curve
     if args.curve_file is not None:
@@ -260,18 +239,9 @@ def cmd_cluster(args) -> tuple[Report, int]:
                 text = fh.read()
         except OSError as exc:
             raise UsageError(f"cannot read curve file: {exc}")
-    if args.n < 1:
-        raise UsageError("--n must be at least 1")
     if args.n > MAX_CLUSTER_N:
         raise UsageError(f"--n must be at most {MAX_CLUSTER_N}")
-    try:
-        curve_series = parse_curve(text)
-        branch = parse_branch(args.branch, precision)
-    except ParseError as exc:
-        raise UsageError(str(exc))
-    if curve_series.is_zero:
-        raise UsageError("the zero curve has no multiplicity sequence")
-    curve = normalize_branch(curve_series, branch)
+    curve = normalize_branch(parse_curve(text), parse_branch(args.branch, args.precision))
     result = cluster_multiplicities(curve, args.n)
     pm = pullback_mult(curve, args.n)
     indeterminate = not result.determinate or isinstance(pm, AtLeast)
@@ -279,7 +249,7 @@ def cmd_cluster(args) -> tuple[Report, int]:
     report = Report(
         command="cluster",
         inputs={"curve": text.strip(), "branch": args.branch.strip(),
-                "n": args.n, "precision": precision},
+                "n": args.n, "precision": args.precision},
         results={
             "mults": list(result.mults),
             "total": result.total,
@@ -299,8 +269,6 @@ def cmd_cluster(args) -> tuple[Report, int]:
 
 def cmd_witness(args) -> tuple[Report, int]:
     if args.preset == "n8":
-        if args.b < 1:
-            raise UsageError("--b must be at least 1")
         verdict = n8_certificate(args.b)
         inputs = {"preset": "n8", "b": args.b,
                   "branch": f"y=x^{8 * args.b}+x^4+x^2", "degree": 3, "mult": 2, "target": 9}
@@ -315,15 +283,10 @@ def cmd_witness(args) -> tuple[Report, int]:
                    if value is None]
         if missing:
             raise UsageError(f"witness needs {', '.join(missing)} (or the n8 preset)")
-        if args.target < 0 or args.mult < 0 or args.degree < 1:
-            raise UsageError("need degree >= 1, mult >= 0, target >= 0")
         precision = args.precision
         if precision is None:
-            precision = max(args.target, default_precision())
-        try:
-            branch = parse_branch(args.branch, precision)
-        except ParseError as exc:
-            raise UsageError(str(exc))
+            precision = max(args.target, DEFAULT_PRECISION)
+        branch = parse_branch(args.branch, precision)
         verdict = solve_witness(WitnessProblem(branch=branch, degree=args.degree,
                                                mult=args.mult, target=args.target))
         inputs = {"branch": args.branch.strip(), "degree": args.degree,
@@ -346,19 +309,13 @@ def cmd_witness(args) -> tuple[Report, int]:
 
 
 def cmd_nagata(args) -> tuple[Report, int]:
-    try:
-        spec = CoveringSpec(n=args.n)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    spec = CoveringSpec(n=args.n)
     if args.r < 1:
         raise UsageError("--r must be at least 1")
     points = args.n * args.r
     notes: list[str] = []
     if args.eps is not None:
-        try:
-            eps = parse_surd(args.eps)
-        except ParseError as exc:
-            raise UsageError(str(exc))
+        eps = parse_surd(args.eps)
         if eps.sign() <= 0:
             raise UsageError("--eps must be positive")
         source = "user-supplied"
@@ -412,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         report, code = _COMMANDS[args.command](args)
-    except UsageError as exc:
+    except ValueError as exc:  # UsageError, ParseError and the library's own checks
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except PrecisionError as exc:

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .exact import int_sqrt_floor
+from math import isqrt
 
 __all__ = [
     "Candidate",
@@ -23,7 +22,6 @@ __all__ = [
     "discard_search",
     "constants_table",
     "REFERENCE_TABLE",
-    "REFERENCE_CONSTANTS",
 ]
 
 
@@ -73,7 +71,7 @@ class Candidate:
 
 def _minimal_mult(n: int, d: int) -> int:
     """Smallest m with m^2 >= d^2 * n (exact integer ceiling of d*sqrt(n))."""
-    s = int_sqrt_floor(d * d * n)
+    s = isqrt(d * d * n)
     return s if s * s == d * d * n else s + 1
 
 
@@ -127,7 +125,8 @@ def constants_table(d_max: int = 10) -> list[tuple[int, Candidate | None]]:
 
 
 # Built-in expected values; the CLI table command self-checks against these
-# and exits nonzero on any deviation.
+# and exits nonzero on any deviation. (d, m) also pins the constant n*d/m,
+# which Candidate enforces.
 REFERENCE_TABLE: dict[int, tuple[int, int, int, int]] = {
     2: (1, 2, 3, 2),
     3: (1, 2, 3, 2),
@@ -137,15 +136,4 @@ REFERENCE_TABLE: dict[int, tuple[int, int, int, int]] = {
     7: (3, 8, 10, 9),
     8: (6, 17, 28, 27),
     9: (3, 9, 10, 9),
-}
-
-REFERENCE_CONSTANTS: dict[int, Fraction] = {
-    2: Fraction(1),
-    3: Fraction(3, 2),
-    4: Fraction(2),
-    5: Fraction(2),
-    6: Fraction(12, 5),
-    7: Fraction(21, 8),
-    8: Fraction(48, 17),
-    9: Fraction(3),
 }

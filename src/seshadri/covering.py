@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Sequence
 
-from .exact import SurdValue, int_sqrt_floor, is_perfect_square, surd_compare
+from .exact import SurdValue, is_perfect_square, surd_compare
 
 __all__ = [
     "CoveringSpec",
@@ -70,7 +71,7 @@ def steffens_bounds(spec: CoveringSpec, r: int) -> SeshadriBounds:
     if r < 1:
         raise ValueError("number of points must be positive")
     s = r * spec.pullback_self_intersection
-    lower = Fraction(int_sqrt_floor(s), r)
+    lower = Fraction(isqrt(s), r)
     upper = SurdValue(Fraction(1, r), s)  # sqrt(n*L^2/r) = sqrt(r*n*L^2)/r
     return SeshadriBounds(lower, upper, is_perfect_square(s))
 

@@ -1,5 +1,5 @@
-"""Exact scalar arithmetic: rationals, quadratic surds, integer square roots,
-and rational matrices with kernel computation.
+"""Exact scalar arithmetic: rationals, quadratic surds, and rational matrices
+with kernel computation.
 
 Everything in this module is exact. Rationals are arbitrary precision, surd
 comparison works by sign-aware squaring, and linear algebra runs rational
@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable
 
 __all__ = [
-    "int_sqrt_floor",
     "is_perfect_square",
     "square_free_split",
     "SurdValue",
@@ -23,38 +23,28 @@ __all__ = [
 ]
 
 
-def int_sqrt_floor(n: int) -> int:
-    """Floor of the square root of a non-negative integer.
-
-    Pure integer Newton iteration; exact for arbitrarily large inputs.
-    """
-    if n < 0:
-        raise ValueError("square root of a negative integer")
-    if n == 0:
-        return 0
-    x = 1 << ((n.bit_length() + 1) // 2)  # x >= sqrt(n)
-    while True:
-        y = (x + n // x) // 2
-        if y >= x:
-            return x
-        x = y
+# trial division runs up to sqrt(n): at most 5 * 10**5 divisors at the limit
+MAX_RADICAND = 10**12
 
 
 def is_perfect_square(n: int) -> bool:
     if n < 0:
         return False
-    s = int_sqrt_floor(n)
+    s = isqrt(n)
     return s * s == n
 
 
 def square_free_split(n: int) -> tuple[int, int]:
     """Write n = outer**2 * core with core square-free; return (outer, core).
 
-    Requires n >= 1. Trial division; fine for the radicand sizes that occur
-    in bound arithmetic (products of small covering invariants).
+    Requires 1 <= n <= MAX_RADICAND. Trial division; fine for the radicand
+    sizes that occur in bound arithmetic (products of small covering
+    invariants).
     """
     if n < 1:
         raise ValueError("square_free_split needs a positive integer")
+    if n > MAX_RADICAND:
+        raise ValueError(f"radicand exceeds the limit {MAX_RADICAND}")
     outer, core, d, m = 1, 1, 2, n
     while d * d <= m:
         if m % d == 0:

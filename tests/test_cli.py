@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import io
 import json
+import signal
 import subprocess
 import sys
 import time
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seshadri.cli import main
 
@@ -34,6 +38,30 @@ def run(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block once it has run `seconds` of wall time."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_usage_error(capsys, *argv) -> str:
+    """The command ends within 1 s with exit 1, no report and one message."""
+    with time_limit(1.0):
+        code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, ""), err
+    assert err.startswith("usage error: ") and err.count("\n") == 1, err
+    return err
 
 
 def run_python(*args) -> subprocess.CompletedProcess:
@@ -111,6 +139,18 @@ def test_bounds_usage_errors(capsys):
     assert code == 1 and "usage error" in err
     code, _, err = run(capsys, "bounds", "--n", "4", "--r", "0")
     assert code == 1
+
+
+# each radicand below is past the limit; factoring it by trial division
+# would run for minutes
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--n", "1000000007", "--r", "1000000009"],
+    ["nagata", "--n", "1000000007", "--r", "1000000009", "--conjecture"],
+    ["nagata", "--n", "2", "--eps", "sqrt(1000000000000000003)"],
+])
+def test_radicand_limit_is_usage_error(capsys, argv):
+    err = assert_usage_error(capsys, *argv)
+    assert "exceeds the limit 1000000000000" in err
 
 
 # ----------------------------------------------------------------- cluster
@@ -281,16 +321,86 @@ def test_unknown_command_is_usage_error(capsys):
     assert code == 1 and "usage error" in err
 
 
-def test_env_var_sets_default_precision(capsys, monkeypatch):
-    monkeypatch.setenv("SESHADRI_PRECISION_DEFAULT", "2")
-    code, out, _ = run(capsys, "cluster", "--curve", "y", "--branch", "y+y^2-x^2", "--n", "3")
-    assert code == 3
-    monkeypatch.setenv("SESHADRI_PRECISION_DEFAULT", "24")
-    code, out, _ = run(capsys, "cluster", "--curve", "y", "--branch", "y+y^2-x^2", "--n", "3")
-    assert code == 0
-    monkeypatch.setenv("SESHADRI_PRECISION_DEFAULT", "zero")
-    code, _, err = run(capsys, "cluster", "--curve", "y", "--branch", "y+y^2-x^2", "--n", "3")
-    assert code == 1 and "usage error" in err
+# past the 4300 digits int() and str() convert by default
+_LONG = "7" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ["cluster", "--curve", f"{_LONG}*x", "--n", "2"],
+    ["cluster", "--curve", f"x^{_LONG}", "--n", "2"],
+    ["cluster", "--curve", f"1 0 {_LONG}", "--n", "2"],
+    ["nagata", "--n", "2", "--eps", _LONG],
+    # the cube of the coefficient, in the basis, has 4500 digits
+    ["witness", "--branch", f"y={'3' * 1500}*x", "--degree", "3", "--mult", "0",
+     "--target", "4"],
+])
+def test_library_value_errors_are_usage_errors(capsys, argv):
+    assert "4300 digits" in assert_usage_error(capsys, *argv)
+
+
+def test_unreadable_curve_file_is_usage_error(tmp_path, capsys):
+    not_utf8 = tmp_path / "curve.txt"
+    not_utf8.write_bytes(b"\xff\xfe x\n")
+    for path, message in ((not_utf8, "can't decode"), ("a\0b", "null byte"),
+                          (tmp_path / "missing.txt", "cannot read curve file")):
+        err = assert_usage_error(capsys, "cluster", "--curve-file", str(path), "--n", "2")
+        assert message in err
+
+
+# -------------------------------------------------------------------- fuzz
+
+def _poly(max_q: int) -> st.SearchStrategy[str]:
+    term = st.tuples(st.integers(-3, 3), st.integers(0, 4), st.integers(0, max_q))
+    return st.lists(term.map(lambda t: "({})*x^{}*y^{}".format(*t)), min_size=1, max_size=4
+                    ).map("+".join)
+
+
+# digit runs on both sides of the 4300 digits int() and str() convert
+_RUN = st.one_of(st.integers(1, 40), st.integers(1400, 6000)).map(lambda k: "9" * k)
+_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.text(alphabet="xy0123456789+-*^()/= ", max_size=8),
+    st.tuples(st.sampled_from(["{}", "{}*x", "x^{}", "1 0 {}", "sqrt({})", "y={}*x"]), _RUN)
+    .map(lambda form_run: form_run[0].format(form_run[1])),
+)
+_CURVE = st.one_of(_poly(4), _TEXT)
+_BRANCH = st.one_of(_poly(0).map("y={}".format), _poly(4).map("y+x*({})".format), _TEXT)
+_NUMBER = st.one_of(st.integers(-3, 12).map(str), st.integers(-10**6, 10**13).map(str), _RUN)
+_TARGET = st.integers(-2, 32).map(str)
+_PRECISION = st.integers(1, 32).map(str)
+_FORMAT = st.sampled_from(["tsv", "json", "xml"])
+# command -> (flags always given, flags given or not); None marks a bare word.
+# Matrix and series sizes stay small: --precision is always given, since an
+# implicit branch is otherwise solved at the default 64.
+_FLAGS = {
+    "table": ({}, {"--dmax": _NUMBER, "--format": _FORMAT}),
+    "bounds": ({"--n": _NUMBER}, {"--l2": _NUMBER, "--r": _NUMBER, "--format": _FORMAT}),
+    "cluster": ({"--curve": _CURVE, "--n": _NUMBER, "--precision": _PRECISION},
+                {"--branch": _BRANCH, "--format": _FORMAT}),
+    "witness": ({"--branch": _BRANCH, "--degree": st.integers(-2, 6).map(str),
+                 "--mult": _NUMBER, "--target": _TARGET, "--precision": _PRECISION},
+                {"n8": st.none(), "--b": _NUMBER, "--format": _FORMAT}),
+    "nagata": ({"--n": _NUMBER},
+               {"--r": _NUMBER, "--eps": _TEXT, "--conjecture": st.none(), "--format": _FORMAT}),
+}
+
+
+def _argv(command: str) -> st.SearchStrategy[list[str]]:
+    required, optional = _FLAGS[command]
+    # flag=value keeps a value such as "-h" from reading as a flag
+    return st.fixed_dictionaries(required, optional=optional).map(lambda flags: [command] + [
+        flag if value is None else f"{flag}={value}" for flag, value in flags.items()])
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(sorted(_FLAGS)).flatmap(_argv))
+def test_fuzz_main_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with time_limit(2.0), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert out.getvalue() == "" and err.getvalue().startswith("usage error: ")
 
 
 def test_json_reports_are_sorted_and_stable(capsys):

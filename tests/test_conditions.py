@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from seshadri.conditions import (
-    REFERENCE_CONSTANTS,
     REFERENCE_TABLE,
     Candidate,
     candidate_search,
@@ -140,7 +139,6 @@ def test_constants_table_epsilons():
 def test_constants_table_matches_reference():
     for n, cand in constants_table():
         assert (cand.d, cand.m, cand.h0, cand.conditions) == REFERENCE_TABLE[n]
-        assert cand.epsilon == REFERENCE_CONSTANTS[n]
 
 
 def test_constants_table_with_tight_dmax():

@@ -1,17 +1,18 @@
-"""Exact scalar layer: integer roots, surds, rational matrices."""
+"""Exact scalar layer: perfect squares, surds, rational matrices."""
 
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from seshadri.exact import (
+    MAX_RADICAND,
     RatMatrix,
     SurdValue,
-    int_sqrt_floor,
     is_perfect_square,
     square_free_split,
     surd_compare,
@@ -25,16 +26,6 @@ rationals = st.fractions(
 
 
 # ---------------------------------------------------------------- integers
-
-@given(st.integers(min_value=0, max_value=10**30))
-def test_int_sqrt_floor_matches_math_isqrt(n):
-    assert int_sqrt_floor(n) == math.isqrt(n)
-
-
-def test_int_sqrt_floor_rejects_negative():
-    with pytest.raises(ValueError):
-        int_sqrt_floor(-1)
-
 
 @given(st.integers(min_value=0, max_value=10**9))
 def test_is_perfect_square(n):
@@ -51,6 +42,18 @@ def test_square_free_split_reconstructs(n):
     while d * d <= core:
         assert core % (d * d) != 0
         d += 1
+
+
+def test_square_free_split_radicand_limit():
+    # the largest prime below the limit is the slowest case trial division meets
+    start = time.perf_counter()
+    assert square_free_split(MAX_RADICAND - 11) == (1, MAX_RADICAND - 11)
+    assert square_free_split(MAX_RADICAND) == (10**6, 1)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        square_free_split(MAX_RADICAND + 1)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        SurdValue(Fraction(1), 10**18 + 3)
 
 
 # ------------------------------------------------------------------- surds
