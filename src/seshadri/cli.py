@@ -9,6 +9,7 @@ decision below them is exact.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from dataclasses import dataclass, field
@@ -39,6 +40,8 @@ APPROX_DIGITS = 20
 # the walk pads its multiplicity list with zeros out to n, and the report
 # prints every entry
 MAX_CLUSTER_N = 10_000
+# a dense degree-64 curve with 100-digit coefficients is about 250 KB
+MAX_CURVE_FILE_BYTES = 1 << 20
 
 
 class UsageError(ValueError):
@@ -235,10 +238,14 @@ def cmd_cluster(args) -> tuple[Report, int]:
     text = args.curve
     if args.curve_file is not None:
         try:
-            with open(args.curve_file, encoding="utf-8") as fh:
-                text = fh.read()
+            with open(args.curve_file, "rb") as fh:
+                data = fh.read(MAX_CURVE_FILE_BYTES + 1)
         except OSError as exc:
             raise UsageError(f"cannot read curve file: {exc}")
+        if len(data) > MAX_CURVE_FILE_BYTES:
+            raise UsageError(f"curve file is longer than {MAX_CURVE_FILE_BYTES} bytes")
+        # decoded as open() in text mode would: UTF-8, universal newlines
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     if args.n > MAX_CLUSTER_N:
         raise UsageError(f"--n must be at most {MAX_CLUSTER_N}")
     curve = normalize_branch(parse_curve(text), parse_branch(args.branch, args.precision))
@@ -292,6 +299,7 @@ def cmd_witness(args) -> tuple[Report, int]:
         inputs = {"branch": args.branch.strip(), "degree": args.degree,
                   "mult": args.mult, "target": args.target, "precision": precision}
         provenance = ["exact kernel of the multiplicity and contact-order conditions"]
+    _check_printable(verdict.basis)
     report = Report(
         command="witness",
         inputs=inputs,
@@ -306,6 +314,17 @@ def cmd_witness(args) -> tuple[Report, int]:
         provenance=provenance,
     )
     return report, EXIT_OK
+
+
+def _check_printable(basis: tuple[tuple[Fraction, ...], ...]) -> None:
+    """Reject a basis that str() cannot render under the interpreter's limit
+    on integer-to-string conversion (4300 digits unless configured)."""
+    limit = sys.get_int_max_str_digits()
+    largest = max((max(abs(c.numerator), c.denominator) for vec in basis for c in vec), default=0)
+    # 10**limit has more than 3*limit bits, so the bit test only skips small bases
+    if limit and largest.bit_length() > 3 * limit and largest >= 10**limit:
+        raise UsageError(
+            f"the basis has a coefficient longer than the {limit} digits a report can print")
 
 
 def cmd_nagata(args) -> tuple[Report, int]:

@@ -1,9 +1,10 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the library's own code paths: numeric surd ordering
-goes through mpmath, local intersection numbers through sympy resultants, and
-the determinant check below is plain cofactor expansion. Floating point and
-computer algebra live here, never in the library.
+goes through mpmath, local intersection numbers through sympy resultants, the
+determinant check below is plain cofactor expansion, and row reduction is
+plain Fraction Gauss-Jordan. Floating point and computer algebra live here,
+never in the library.
 """
 
 from __future__ import annotations
@@ -65,3 +66,28 @@ def cofactor_determinant(matrix: list[list[Fraction]]) -> Fraction:
         sign = -1 if j % 2 else 1
         total += sign * Fraction(matrix[0][j]) * cofactor_determinant(minor)
     return total
+
+
+def rational_rref(entries: list[list[Fraction]], cols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form and pivot columns by Gauss-Jordan on Fraction
+    entries: normalize each pivot row, then clear its column in every other
+    row. The library's fraction-free elimination must agree entry for entry."""
+    m = [[Fraction(v) for v in row] for row in entries]
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots

@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seshadri.cli import main
+from seshadri.cli import MAX_CURVE_FILE_BYTES, main
+from seshadri.witness import MAX_WITNESS_DEGREE, MAX_WITNESS_TARGET
 
 GOLDEN_TABLE = """\
 # command\ttable
@@ -347,6 +348,39 @@ def test_unreadable_curve_file_is_usage_error(tmp_path, capsys):
         assert message in err
 
 
+def test_unprintable_witness_basis_is_usage_error(capsys):
+    # solvable, but the basis holds the cube of a 1500-digit coefficient
+    err = assert_usage_error(capsys, "witness", "--branch", f"y={'3' * 1500}*x",
+                             "--degree", "3", "--mult", "0", "--target", "4")
+    assert "basis has a coefficient longer than the 4300 digits" in err
+    assert "set_int_max_str_digits" not in err
+
+
+def test_curve_file_size_limit(tmp_path, capsys):
+    path = tmp_path / "curve.txt"
+    path.write_bytes(b"x" + b" " * (MAX_CURVE_FILE_BYTES - 1))
+    code, out, _ = run(capsys, "cluster", "--curve-file", str(path), "--n", "2")
+    assert code == 0 and "mults\t1,0" in out
+    path.write_bytes(b"x" + b" " * MAX_CURVE_FILE_BYTES)
+    err = assert_usage_error(capsys, "cluster", "--curve-file", str(path), "--n", "2")
+    assert f"longer than {MAX_CURVE_FILE_BYTES} bytes" in err
+
+
+def test_curve_file_keeps_text_mode_newlines(tmp_path, capsys):
+    path = tmp_path / "curve.txt"
+    path.write_bytes(b"1 0 1\r\n0 2 1\r\n")
+    code, out, _ = run(capsys, "cluster", "--curve-file", str(path), "--n", "2")
+    assert code == 0 and "# input.curve\t1 0 1; 0 2 1\n" in out
+
+
+@pytest.mark.parametrize("degree, target", [(MAX_WITNESS_DEGREE + 1, 4),
+                                            (3, MAX_WITNESS_TARGET + 1)])
+def test_witness_size_limits(capsys, degree, target):
+    err = assert_usage_error(capsys, "witness", "--branch", "y=x^2", "--degree", str(degree),
+                             "--mult", "0", "--target", str(target))
+    assert "must be at most" in err
+
+
 # -------------------------------------------------------------------- fuzz
 
 def _poly(max_q: int) -> st.SearchStrategy[str]:
@@ -366,7 +400,9 @@ _TEXT = st.one_of(
 _CURVE = st.one_of(_poly(4), _TEXT)
 _BRANCH = st.one_of(_poly(0).map("y={}".format), _poly(4).map("y+x*({})".format), _TEXT)
 _NUMBER = st.one_of(st.integers(-3, 12).map(str), st.integers(-10**6, 10**13).map(str), _RUN)
-_TARGET = st.integers(-2, 32).map(str)
+# sizes past the witness limits are rejected before any elimination
+_DEGREE = st.one_of(st.integers(-2, 6), st.integers(1, 3).map(MAX_WITNESS_DEGREE.__add__)).map(str)
+_TARGET = st.one_of(st.integers(-2, 32), st.integers(1, 3).map(MAX_WITNESS_TARGET.__add__)).map(str)
 _PRECISION = st.integers(1, 32).map(str)
 _FORMAT = st.sampled_from(["tsv", "json", "xml"])
 # command -> (flags always given, flags given or not); None marks a bare word.
@@ -377,7 +413,7 @@ _FLAGS = {
     "bounds": ({"--n": _NUMBER}, {"--l2": _NUMBER, "--r": _NUMBER, "--format": _FORMAT}),
     "cluster": ({"--curve": _CURVE, "--n": _NUMBER, "--precision": _PRECISION},
                 {"--branch": _BRANCH, "--format": _FORMAT}),
-    "witness": ({"--branch": _BRANCH, "--degree": st.integers(-2, 6).map(str),
+    "witness": ({"--branch": _BRANCH, "--degree": _DEGREE,
                  "--mult": _NUMBER, "--target": _TARGET, "--precision": _PRECISION},
                 {"n8": st.none(), "--b": _NUMBER, "--format": _FORMAT}),
     "nagata": ({"--n": _NUMBER},

@@ -7,7 +7,8 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from seshadri.exact import (
     MAX_RADICAND,
@@ -18,7 +19,10 @@ from seshadri.exact import (
     surd_compare,
 )
 
-from oracles import compare_numeric
+from seshadri.parsing import parse_branch
+from seshadri.witness import WitnessProblem, solve_witness
+
+from oracles import compare_numeric, rational_rref
 
 rationals = st.fractions(
     min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=10**4
@@ -183,3 +187,69 @@ def test_kernel_vectors_exact():
     assert len(basis) == 2
     for v in basis:
         assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m.entries)
+
+
+small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+
+
+@st.composite
+def rank_deficient_matrices(draw):
+    """0-8 rows and 1-8 columns; besides fresh rows, a row may be zero, a
+    copy of an earlier row or a combination of two earlier rows."""
+    cols = draw(st.integers(min_value=1, max_value=8))
+    rows: list[list[Fraction]] = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        kind = draw(st.sampled_from(["fresh", "zero", "repeat", "sum"]))
+        if kind == "zero":
+            rows.append([Fraction(0)] * cols)
+        elif kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "sum" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            k = draw(small_rationals)
+            rows.append([u + k * v for u, v in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(small_rationals, min_size=cols, max_size=cols)))
+    return rows, cols
+
+
+@given(rank_deficient_matrices())
+@example(([[Fraction(0)] * 4] * 3, 4))
+@example(([], 3))
+@example(([[Fraction(1, 2)], [Fraction(-3)], [Fraction(0)]], 1))
+def test_rref_matches_rational_oracle(matrix):
+    entries, cols = matrix
+    assert RatMatrix(entries, cols=cols).rref() == rational_rref(entries, cols)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rank_deficient_matrices())
+@example(([[Fraction(0)] * 4] * 3, 4))
+def test_rref_matches_sympy(matrix):
+    entries, cols = matrix
+    reduced, pivots = RatMatrix(entries, cols=cols).rref()
+    expected, expected_pivots = sympy.Matrix(
+        len(entries), cols, [sympy.Rational(v.numerator, v.denominator) for row in entries for v in row]
+    ).rref()
+    assert pivots == list(expected_pivots)
+    assert reduced == [[Fraction(int(v.p), int(v.q)) for v in expected.row(i)]
+                       for i in range(len(entries))]
+
+
+def test_rref_matches_oracle_on_degree8_witness_system(monkeypatch):
+    # the degree-8 system of the benchmark's witness batch at the Veronese
+    # edge: h0 - C(m+1, 2) + m - 1 = 45 - 3 + 2 - 1 = 43 for m = 2
+    systems = []
+    kernel = RatMatrix.kernel
+
+    def recording_kernel(self):
+        systems.append(self)
+        return kernel(self)
+
+    monkeypatch.setattr(RatMatrix, "kernel", recording_kernel)
+    branch = parse_branch("y=x-3/2*x^2+2*x^3+1/2*x^4-3*x^5+3/2*x^10", 128)
+    verdict = solve_witness(WitnessProblem(branch=branch, degree=8, mult=2, target=43))
+    assert verdict.kernel_dim == 1
+    (system,) = systems
+    assert (system.rows, system.cols) == (46, 45)
+    assert system.rref() == rational_rref(system.entries, system.cols)

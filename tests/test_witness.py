@@ -14,6 +14,8 @@ from seshadri.exact import RatMatrix
 from seshadri.intersection import local_intersection
 from seshadri.series import AtLeast, PrecisionError, XSeries, order_meets
 from seshadri.witness import (
+    MAX_WITNESS_DEGREE,
+    MAX_WITNESS_TARGET,
     WitnessProblem,
     WitnessVerdict,
     curve_monomials,
@@ -113,6 +115,15 @@ def test_no_constraints_keeps_everything():
     verdict = solve_witness(WitnessProblem(BranchJet(XSeries({})), degree=1, mult=0, target=0))
     assert verdict.kernel_dim == verdict.unknowns == 3
     assert verdict.conditions == 0
+
+
+def test_problem_size_limits():
+    branch = BranchJet(XSeries({1: Fraction(1)}))
+    WitnessProblem(branch, degree=MAX_WITNESS_DEGREE, mult=0, target=MAX_WITNESS_TARGET)
+    with pytest.raises(ValueError, match="degree must be at most"):
+        WitnessProblem(branch, degree=MAX_WITNESS_DEGREE + 1, mult=0, target=1)
+    with pytest.raises(ValueError, match="target order must be at most"):
+        WitnessProblem(branch, degree=1, mult=0, target=MAX_WITNESS_TARGET + 1)
 
 
 def test_precision_shortfall_rejected():
