@@ -1,11 +1,12 @@
 """Existence of plane curves with prescribed multiplicity at the origin and
 prescribed contact order with a branch jet, decided by exact linear algebra.
 
-The coefficient space of curves of degree j has one unknown per monomial
-x^p y^q with p + q <= j. Multiplicity mu at the origin contributes one zero
-row per monomial below total degree mu; contact order t with y = g(x)
-contributes one row per exponent e < t, built from the coefficients of
-x^p g(x)^q. The kernel of that system is exactly the set of curves asked for.
+A curve of degree j has one coefficient per monomial x^p y^q, p + q <= j.
+Multiplicity mu at the origin zeroes those with p + q < mu; the others are
+the unknowns. Contact order t with y = g(x) zeroes the coefficient of x^e
+along the branch for e < t, and since x^p g(x)^q has order >= p + q, only
+the rows mu <= e < t can be nonzero. The kernel, padded with the zeroed
+coefficients, is exactly the set of curves asked for.
 """
 
 from __future__ import annotations
@@ -44,10 +45,7 @@ def curve_monomials(degree: int) -> list[tuple[int, int]]:
     """Monomials x^p y^q with p + q <= degree, in graded order."""
     if degree < 0:
         raise ValueError("degree must be non-negative")
-    return sorted(
-        ((p, q) for total in range(degree + 1) for q in range(total + 1) for p in [total - q]),
-        key=lambda pq: (pq[0] + pq[1], pq[1]),
-    )
+    return [(total - q, q) for total in range(degree + 1) for q in range(total + 1)]
 
 
 @dataclass(frozen=True)
@@ -80,23 +78,26 @@ class WitnessProblem:
 class WitnessVerdict:
     """Outcome of a witness problem.
 
-    basis holds coefficient vectors aligned with the monomial order; unknowns
-    and conditions record the raw system size so dependent conditions are
-    visible (kernel_dim can exceed unknowns - conditions).
+    basis holds coefficient vectors aligned with monomials; conditions counts
+    one per monomial below the multiplicity and one per exponent below the
+    target, so kernel_dim can exceed unknowns - conditions.
     """
 
-    exists: bool
-    kernel_dim: int
     basis: tuple[tuple[Fraction, ...], ...]
     monomials: tuple[tuple[int, int], ...]
-    unknowns: int
     conditions: int
 
-    def __post_init__(self) -> None:
-        if self.exists != (self.kernel_dim > 0):
-            raise ValueError("exists flag inconsistent with kernel dimension")
-        if self.kernel_dim != len(self.basis):
-            raise ValueError("kernel dimension inconsistent with basis size")
+    @property
+    def exists(self) -> bool:
+        return bool(self.basis)
+
+    @property
+    def kernel_dim(self) -> int:
+        return len(self.basis)
+
+    @property
+    def unknowns(self) -> int:
+        return len(self.monomials)
 
     def basis_curves(self) -> list[BiSeries]:
         return [
@@ -108,35 +109,26 @@ class WitnessVerdict:
 def solve_witness(problem: WitnessProblem) -> WitnessVerdict:
     """Decide whether a curve with the prescribed data exists, with a basis.
 
-    Builds the full coefficient-space system (multiplicity rows are explicit
-    unit rows, nothing pre-eliminated), computes its exact kernel, and
-    re-checks every basis curve against the independent intersection and
-    multiplicity routines before reporting it.
+    Only the monomials at or above the multiplicity (a suffix of the graded
+    order) and the exponents from the multiplicity to the target enter the
+    system. Every basis curve is re-checked against the independent
+    intersection and multiplicity routines before it is reported.
     """
     monos = curve_monomials(problem.degree)
-    g = problem.branch.g
-    rows: list[list[Fraction]] = []
-    for i, (p, q) in enumerate(monos):
-        if p + q < problem.mult:
-            row = [Fraction(0)] * len(monos)
-            row[i] = Fraction(1)
-            rows.append(row)
+    low = sum(p + q < problem.mult for p, q in monos)
+    high = monos[low:]
     # coefficients of x^e in x^p g(x)^q, for e below the target order
-    jet = XSeries(g.coeffs, problem.target)
+    jet = XSeries(problem.branch.g.coeffs, problem.target)
     powers = [XSeries({0: 1}, problem.target)]
-    for _ in range(max(q for _, q in monos)):
+    for _ in range(max((q for _, q in high), default=0)):
         powers.append(powers[-1] * jet)
-    for e in range(problem.target):
-        rows.append([powers[q].coeffs.get(e - p, Fraction(0)) for p, q in monos])
-    matrix = RatMatrix(rows, cols=len(monos))
-    basis = matrix.kernel()
+    rows = [[powers[q].coeffs.get(e - p, Fraction(0)) for p, q in high]
+            for e in range(problem.mult, problem.target)]
+    kernel = RatMatrix(rows, cols=len(high)).kernel()
     verdict = WitnessVerdict(
-        exists=bool(basis),
-        kernel_dim=len(basis),
-        basis=tuple(tuple(vec) for vec in basis),
+        basis=tuple((Fraction(0),) * low + tuple(vec) for vec in kernel),
         monomials=tuple(monos),
-        unknowns=len(monos),
-        conditions=len(rows),
+        conditions=low + problem.target,
     )
     _recheck(verdict, problem)
     return verdict
@@ -144,13 +136,14 @@ def solve_witness(problem: WitnessProblem) -> WitnessVerdict:
 
 def _recheck(verdict: WitnessVerdict, problem: WitnessProblem) -> None:
     """Defense in depth: basis curves must pass the independent checks, or
-    VerificationError is raised (an explicit raise, so it holds under -O)."""
+    VerificationError is raised (an explicit raise, so it holds under -O).
+    The branch is cut at the target order (at least 1, for substitute_y)."""
+    branch = BranchJet(XSeries(problem.branch.g.coeffs, max(problem.target, 1)))
     for curve in verdict.basis_curves():
         mult = curve.multiplicity()
         if isinstance(mult, AtLeast) or mult < problem.mult:
             raise VerificationError(f"basis curve {curve} fails the multiplicity check")
-        contact = local_intersection(curve, problem.branch)
-        if not order_meets(contact, problem.target):
+        if not order_meets(local_intersection(curve, branch), problem.target):
             raise VerificationError(f"basis curve {curve} fails the contact-order check")
 
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seshadri.cli import MAX_CURVE_FILE_BYTES, main
+from seshadri.cluster import MAX_IMPLICIT_PRECISION
 from seshadri.witness import MAX_WITNESS_DEGREE, MAX_WITNESS_TARGET
 
 GOLDEN_TABLE = """\
@@ -381,6 +382,29 @@ def test_witness_size_limits(capsys, degree, target):
     assert "must be at most" in err
 
 
+def test_implicit_branch_precision_limit(capsys):
+    code, out, _ = run(capsys, "cluster", "--curve=y", "--branch=y-x^2", "--n=2",
+                       f"--precision={MAX_IMPLICIT_PRECISION}")
+    assert code == 0 and "mults\t1,1" in out
+    err = assert_usage_error(capsys, "cluster", "--curve=y", "--branch=y-x^2", "--n=2",
+                             f"--precision={MAX_IMPLICIT_PRECISION + 1}")
+    assert err == f"usage error: precision must be between 1 and {MAX_IMPLICIT_PRECISION}\n"
+
+
+# the jet sum of (-1)^k (k+1)/(k mod 6 + 1) x^k for k = 1..64: substituting
+# the whole polynomial branch into a degree-8 curve expands g^8 to degree 512
+_DENSE_JET = "y=" + "".join(f"{'-' if k % 2 else '+'}{k + 1}/{k % 6 + 1}*x^{k}"
+                            for k in range(1, 65))
+
+
+def test_witness_recheck_on_dense_jet_stays_at_target_order(capsys):
+    with time_limit(2.0):
+        code, out, _ = run(capsys, "witness", f"--branch={_DENSE_JET}", "--degree=8",
+                           "--mult=0", "--target=20")
+    assert code == 0
+    assert "kernel_dim\t25\n" in out
+
+
 # -------------------------------------------------------------------- fuzz
 
 def _poly(max_q: int) -> st.SearchStrategy[str]:
@@ -400,10 +424,11 @@ _TEXT = st.one_of(
 _CURVE = st.one_of(_poly(4), _TEXT)
 _BRANCH = st.one_of(_poly(0).map("y={}".format), _poly(4).map("y+x*({})".format), _TEXT)
 _NUMBER = st.one_of(st.integers(-3, 12).map(str), st.integers(-10**6, 10**13).map(str), _RUN)
-# sizes past the witness limits are rejected before any elimination
+# sizes past the witness and precision limits are rejected before any work
 _DEGREE = st.one_of(st.integers(-2, 6), st.integers(1, 3).map(MAX_WITNESS_DEGREE.__add__)).map(str)
 _TARGET = st.one_of(st.integers(-2, 32), st.integers(1, 3).map(MAX_WITNESS_TARGET.__add__)).map(str)
-_PRECISION = st.integers(1, 32).map(str)
+_PRECISION = st.one_of(st.integers(1, 32),
+                       st.integers(1, 3).map(MAX_IMPLICIT_PRECISION.__add__)).map(str)
 _FORMAT = st.sampled_from(["tsv", "json", "xml"])
 # command -> (flags always given, flags given or not); None marks a bare word.
 # Matrix and series sizes stay small: --precision is always given, since an
@@ -452,18 +477,21 @@ def test_json_reports_are_sorted_and_stable(capsys):
 _BAD_KERNEL = """\
 import sys
 from seshadri import cli, exact
-exact.RatMatrix.kernel = lambda self: [[1] + [0] * (self.cols - 1)]
+exact.RatMatrix.kernel = lambda self: [[{lead}] + [0] * (self.cols - 1)]
 sys.exit(cli.main(["witness", "n8"]))
 """
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_witness_failed_recheck_is_verification_failure(flags):
-    proc = run_python(*flags, "-c", _BAD_KERNEL)
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("verification failure: basis curve 1 fails")
-    assert "Traceback" not in proc.stderr
-    assert proc.stdout == ""
+    # the n8 columns start at x^2, which has the double point but meets the
+    # branch only to order 2; the zero vector has no multiplicity at all
+    for lead, failure in [(1, "x^2 fails the contact-order check"),
+                          (0, "0 fails the multiplicity check")]:
+        proc = run_python(*flags, "-c", _BAD_KERNEL.format(lead=lead))
+        assert proc.returncode == 2
+        assert proc.stderr == f"verification failure: basis curve {failure}\n"
+        assert proc.stdout == ""
 
 
 def test_module_entry_point_runs():

@@ -238,7 +238,8 @@ def test_rref_matches_sympy(matrix):
 
 def test_rref_matches_oracle_on_degree8_witness_system(monkeypatch):
     # the degree-8 system of the benchmark's witness batch at the Veronese
-    # edge: h0 - C(m+1, 2) + m - 1 = 45 - 3 + 2 - 1 = 43 for m = 2
+    # edge: h0 - C(m+1, 2) + m - 1 = 45 - 3 + 2 - 1 = 43 for m = 2; the
+    # system keeps the 42 monomials of degree >= 2 and the rows e = 2..42
     systems = []
     kernel = RatMatrix.kernel
 
@@ -251,5 +252,5 @@ def test_rref_matches_oracle_on_degree8_witness_system(monkeypatch):
     verdict = solve_witness(WitnessProblem(branch=branch, degree=8, mult=2, target=43))
     assert verdict.kernel_dim == 1
     (system,) = systems
-    assert (system.rows, system.cols) == (46, 45)
+    assert (system.rows, system.cols) == (41, 42)
     assert system.rref() == rational_rref(system.entries, system.cols)

@@ -17,7 +17,6 @@ from seshadri.witness import (
     MAX_WITNESS_DEGREE,
     MAX_WITNESS_TARGET,
     WitnessProblem,
-    WitnessVerdict,
     curve_monomials,
     n8_certificate,
     solve_witness,
@@ -64,17 +63,19 @@ def test_hand_system_has_trivial_kernel():
     assert RatMatrix(HAND_SYSTEM).kernel() == []
 
 
-def test_solver_reproduces_hand_system():
-    # rebuild the same rows from the solver's own power expansion and compare
-    g = XSeries({2: 1, 4: 1, 8: 1})
-    monos = [(2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3)]
-    powers = [XSeries({0: 1})]
-    for _ in range(3):
-        powers.append(powers[-1] * g)
-    rows = []
-    for e in range(2, 9):
-        rows.append([powers[q].coeffs.get(e - p, Fraction(0)) for p, q in monos])
-    assert rows == [[Fraction(v) for v in row] for row in HAND_SYSTEM]
+def test_solver_reproduces_hand_system(monkeypatch):
+    # the n8 problem hands exactly the hand-expanded system to the kernel
+    systems = []
+    kernel = RatMatrix.kernel
+
+    def recording_kernel(self):
+        systems.append(self)
+        return kernel(self)
+
+    monkeypatch.setattr(RatMatrix, "kernel", recording_kernel)
+    assert not n8_certificate(1).exists
+    (system,) = systems
+    assert system.entries == [[Fraction(v) for v in row] for row in HAND_SYSTEM]
 
 
 def test_n8_certificate_all_small_b():
@@ -130,12 +131,6 @@ def test_precision_shortfall_rejected():
     branch = BranchJet(XSeries({2: 1}, 5))
     with pytest.raises(PrecisionError):
         WitnessProblem(branch=branch, degree=3, mult=2, target=9)
-
-
-def test_verdict_consistency_enforced():
-    with pytest.raises(ValueError):
-        WitnessVerdict(exists=True, kernel_dim=0, basis=(), monomials=(),
-                       unknowns=0, conditions=0)
 
 
 # ------------------------------------------------------------- invariants
