@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's own code paths: numeric surd ordering
 goes through mpmath, local intersection numbers through sympy resultants, the
-determinant check below is plain cofactor expansion, and row reduction is
-plain Fraction Gauss-Jordan. Floating point and computer algebra live here,
-never in the library.
+determinant check below is plain cofactor expansion, row reduction is
+plain Fraction Gauss-Jordan, and implicit branches are solved one
+coefficient at a time. Floating point and computer algebra live here, never
+in the library.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ from fractions import Fraction
 
 import mpmath
 import sympy
+
+from seshadri.cluster import BranchJet
+from seshadri.series import BiSeries, XSeries
 
 
 def surd_sign_numeric(coeff: Fraction, radicand: int, digits: int = 60) -> "mpmath.mpf":
@@ -91,3 +95,18 @@ def rational_rref(entries: list[list[Fraction]], cols: int) -> tuple[list[list[F
         if r == len(m):
             break
     return m, pivots
+
+
+def undetermined_branch(f: BiSeries, precision: int) -> BranchJet:
+    """Solve f(x, g(x)) = 0 by undetermined coefficients, one full
+    substitution per coefficient: the coefficient of x^k in f(x, g) is
+    slope * g_k plus terms in g_1..g_(k-1). The library's Newton lift must
+    agree, coefficients and precision both; f must be a polynomial."""
+    slope = f.coeffs[(0, 1)]
+    g: dict[int, Fraction] = {}
+    for k in range(1, precision):
+        residual = f.substitute_y(XSeries(g, precision=k + 1))
+        c = residual.coeffs.get(k, Fraction(0))
+        if c:
+            g[k] = -c / slope
+    return BranchJet(XSeries(g, precision=precision))

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from seshadri.cli import MAX_CURVE_FILE_BYTES, main
 from seshadri.cluster import MAX_IMPLICIT_PRECISION
+from seshadri.parsing import parse_branch, parse_poly_xy
 from seshadri.witness import MAX_WITNESS_DEGREE, MAX_WITNESS_TARGET
 
 GOLDEN_TABLE = """\
@@ -391,6 +392,19 @@ def test_implicit_branch_precision_limit(capsys):
     assert err == f"usage error: precision must be between 1 and {MAX_IMPLICIT_PRECISION}\n"
 
 
+def test_implicit_branch_at_the_precision_limit_is_fast(capsys):
+    # one substitution per coefficient took about 37 s on a 2-vCPU Xeon VM;
+    # Newton lifting needs 2 log2(256) = 16 substitutions
+    branch = "y+y^2+x*y^3-x^2+x^3*y"
+    with time_limit(3.0):
+        code, out, _ = run(capsys, "cluster", "--curve=y", f"--branch={branch}", "--n=2",
+                           f"--precision={MAX_IMPLICIT_PRECISION}")
+    assert code == 0
+    f = parse_poly_xy(branch)
+    residual = f.substitute_y(parse_branch(branch, MAX_IMPLICIT_PRECISION).g)
+    assert residual.is_zero and residual.precision >= MAX_IMPLICIT_PRECISION
+
+
 # the jet sum of (-1)^k (k+1)/(k mod 6 + 1) x^k for k = 1..64: substituting
 # the whole polynomial branch into a degree-8 curve expands g^8 to degree 512
 _DENSE_JET = "y=" + "".join(f"{'-' if k % 2 else '+'}{k + 1}/{k % 6 + 1}*x^{k}"
@@ -427,12 +441,12 @@ _NUMBER = st.one_of(st.integers(-3, 12).map(str), st.integers(-10**6, 10**13).ma
 # sizes past the witness and precision limits are rejected before any work
 _DEGREE = st.one_of(st.integers(-2, 6), st.integers(1, 3).map(MAX_WITNESS_DEGREE.__add__)).map(str)
 _TARGET = st.one_of(st.integers(-2, 32), st.integers(1, 3).map(MAX_WITNESS_TARGET.__add__)).map(str)
-_PRECISION = st.one_of(st.integers(1, 32),
+_PRECISION = st.one_of(st.integers(1, 32), st.sampled_from([64, 128]),
                        st.integers(1, 3).map(MAX_IMPLICIT_PRECISION.__add__)).map(str)
 _FORMAT = st.sampled_from(["tsv", "json", "xml"])
 # command -> (flags always given, flags given or not); None marks a bare word.
-# Matrix and series sizes stay small: --precision is always given, since an
-# implicit branch is otherwise solved at the default 64.
+# --precision is always given, so every implicit branch is solved at a drawn
+# precision: small ones, the 64 and 128 of real calls, or one past the limit.
 _FLAGS = {
     "table": ({}, {"--dmax": _NUMBER, "--format": _FORMAT}),
     "bounds": ({"--n": _NUMBER}, {"--l2": _NUMBER, "--r": _NUMBER, "--format": _FORMAT}),

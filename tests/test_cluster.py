@@ -17,6 +17,8 @@ from seshadri.cluster import (
 )
 from seshadri.series import INF, AtLeast, BiSeries, XSeries
 
+from oracles import undetermined_branch
+
 
 def curve(coeffs, precision=INF):
     return BiSeries(coeffs, precision)
@@ -209,6 +211,32 @@ def test_implicit_branch_solves_to_requested_precision():
     assert jet.g.coeffs[2] == 1
     assert jet.g.coeffs[4] == -1
     assert jet.g.coeffs[6] == 2
+
+
+def test_implicit_branch_stops_at_the_precision_of_f():
+    # the unknown x^4 term of F moves g at x^4: with +5*x^4, g = x^2 - 5*x^4
+    truncated = BiSeries({(0, 1): 1, (2, 0): -1}, precision=4)
+    assert branch_from_implicit(truncated, 8).g == XSeries({2: 1}, 4)
+    completed = BiSeries({(0, 1): 1, (2, 0): -1, (4, 0): 5})
+    assert branch_from_implicit(completed, 8).g == XSeries({2: 1, 4: -5}, 8)
+
+
+_SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), _SMALL, max_size=6),
+       _SMALL.filter(bool), st.integers(1, 24))
+def test_newton_lift_matches_undetermined_coefficients(terms, slope, precision):
+    terms.pop((0, 0), None)
+    f = BiSeries({**terms, (0, 1): slope})
+    assert branch_from_implicit(f, precision) == undetermined_branch(f, precision)
+
+
+def test_newton_lift_matches_oracle_on_benchmark_branch():
+    # the implicit-branch benchmark's F = y + a*x^2 + b*x^4 + c*x^2*y + d*x*y^2
+    f = BiSeries({(0, 1): 1, (2, 0): 3, (4, 0): -5, (2, 1): 2, (1, 2): Fraction(-7, 2)})
+    assert branch_from_implicit(f, 64) == undetermined_branch(f, 64)
 
 
 def test_implicit_branch_requires_transversality():
