@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .cluster import cluster_multiplicities, normalize_branch, pullback_mult
+from .cluster import MAX_IMPLICIT_PRECISION, cluster_multiplicities, normalize_branch, pullback_mult
 from .conditions import REFERENCE_TABLE, constants_table
 from .covering import (
     KNOWN_PLANE_CONSTANTS,
@@ -103,14 +103,6 @@ def _tsv_scalar(value) -> str:
     return str(value).replace("\t", " ").replace("\n", "; ")
 
 
-def _fraction_str(value: Fraction) -> str:
-    return str(Fraction(value))
-
-
-def _surd_str(value: SurdValue) -> str:
-    return str(value)
-
-
 def _approx_str(value: SurdValue | Fraction, digits: int = APPROX_DIGITS) -> str:
     """Decimal rendering with about `digits` significant digits. Display only."""
     if isinstance(value, Fraction):
@@ -190,8 +182,9 @@ def cmd_table(args) -> tuple[Report, int]:
             rows.append([n, "-", "-", "-", "-", "-"])
             ok = False
             continue
-        rows.append([n, cand.d, cand.m, cand.h0, cand.conditions, _fraction_str(cand.epsilon)])
-        ok = ok and (cand.d, cand.m, cand.h0, cand.conditions) == REFERENCE_TABLE[n]
+        row = (cand.d, cand.m, cand.h0, cand.conditions)
+        rows.append([n, *row, str(cand.epsilon)])
+        ok = ok and row == REFERENCE_TABLE[n]
     report = Report(
         command="table",
         inputs={"dmax": args.dmax},
@@ -217,9 +210,9 @@ def cmd_bounds(args) -> tuple[Report, int]:
         command="bounds",
         inputs={"n": args.n, "l2": args.l2, "r": args.r},
         results={
-            "lower": _fraction_str(bounds.lower),
+            "lower": str(bounds.lower),
             "lower_approx": _approx_str(bounds.lower),
-            "upper": _surd_str(bounds.upper),
+            "upper": str(bounds.upper),
             "upper_approx": _approx_str(bounds.upper),
             "maximal": bounds.maximal,
             "pullback_self_intersection": spec.pullback_self_intersection,
@@ -277,8 +270,9 @@ def cmd_cluster(args) -> tuple[Report, int]:
 def cmd_witness(args) -> tuple[Report, int]:
     if args.preset == "n8":
         verdict = n8_certificate(args.b)
-        inputs = {"preset": "n8", "b": args.b,
-                  "branch": f"y=x^{8 * args.b}+x^4+x^2", "degree": 3, "mult": 2, "target": 9}
+        problem = verdict.problem
+        inputs = {"preset": "n8", "b": args.b, "branch": f"y=x^{8 * args.b}+x^4+x^2",
+                  "degree": problem.degree, "mult": problem.mult, "target": problem.target}
         provenance = [
             "built-in certificate branch for the degree-8 covering",
             "exists=false certifies the constant 48/17",
@@ -292,7 +286,8 @@ def cmd_witness(args) -> tuple[Report, int]:
             raise UsageError(f"witness needs {', '.join(missing)} (or the n8 preset)")
         precision = args.precision
         if precision is None:
-            precision = max(args.target, DEFAULT_PRECISION)
+            # a target past the cap is then reported as such by WitnessProblem
+            precision = min(max(args.target, DEFAULT_PRECISION), MAX_IMPLICIT_PRECISION)
         branch = parse_branch(args.branch, precision)
         verdict = solve_witness(WitnessProblem(branch=branch, degree=args.degree,
                                                mult=args.mult, target=args.target))
@@ -356,15 +351,14 @@ def cmd_nagata(args) -> tuple[Report, int]:
         if args.conjecture:
             notes.append("small point count: bundled known value used instead of the conjecture")
     bound = nagata_upper(spec, args.r, eps)
-    trivial_upper = SurdValue(Fraction(1, args.r), args.r * spec.pullback_self_intersection)
-    maximal = surd_compare(bound, trivial_upper) == 0
+    maximal = surd_compare(bound, steffens_bounds(spec, args.r).upper) == 0
     report = Report(
         command="nagata",
         inputs={"n": args.n, "r": args.r,
-                "eps": args.eps if args.eps is not None else _surd_str(eps),
+                "eps": args.eps if args.eps is not None else str(eps),
                 "conjecture": bool(args.conjecture)},
         results={
-            "bound": _surd_str(bound),
+            "bound": str(bound),
             "bound_approx": _approx_str(bound),
             "eps_source": source,
             "maximal": maximal,

@@ -56,17 +56,24 @@ class Candidate:
     n: int
     d: int
     m: int
-    h0: int
-    conditions: int
-    epsilon: Fraction
 
     def __post_init__(self) -> None:
-        if self.d * self.d * self.n > self.m * self.m:
-            raise ValueError("candidate violates d^2 n <= m^2")
+        if self.d < 1 or self.d * self.d * self.n > self.m * self.m:
+            raise ValueError("candidate needs d >= 1 and d^2 n <= m^2")
         if self.h0 <= self.conditions:
             raise ValueError("candidate system has no section to spare")
-        if self.epsilon != Fraction(self.n * self.d, self.m):
-            raise ValueError("epsilon is not n*d/m")
+
+    @property
+    def h0(self) -> int:
+        return h0_plane(self.d)
+
+    @property
+    def conditions(self) -> int:
+        return condition_count(self.n, self.m)
+
+    @property
+    def epsilon(self) -> Fraction:
+        return Fraction(self.n * self.d, self.m)
 
 
 def _minimal_mult(n: int, d: int) -> int:
@@ -88,11 +95,8 @@ def candidate_search(n: int, d_max: int) -> Candidate | None:
         raise ValueError("need n >= 2 and d_max >= 1")
     for d in range(1, d_max + 1):
         m = _minimal_mult(n, d)
-        h0 = h0_plane(d)
-        cond = condition_count(n, m)
-        if h0 > cond:
-            return Candidate(n=n, d=d, m=m, h0=h0, conditions=cond,
-                             epsilon=Fraction(n * d, m))
+        if h0_plane(d) > condition_count(n, m):
+            return Candidate(n, d, m)
     return None
 
 
@@ -107,7 +111,8 @@ def discard_search(n: int) -> list[tuple[int, int]]:
     if not 2 <= n <= 9:
         raise ValueError("discard search applies to degrees 2..9")
     top = candidate_search(n, d_max=10)
-    assert top is not None  # guaranteed for n <= 9
+    if top is None:  # cannot happen for n <= 9: the table has a row for each
+        raise ArithmeticError(f"no candidate of degree <= 10 for n={n}")
     survivors: list[tuple[int, int]] = []
     for j in range(1, top.d + 1):
         m = _minimal_mult(n, j)
@@ -125,8 +130,8 @@ def constants_table(d_max: int = 10) -> list[tuple[int, Candidate | None]]:
 
 
 # Built-in expected values; the CLI table command self-checks against these
-# and exits nonzero on any deviation. (d, m) also pins the constant n*d/m,
-# which Candidate enforces.
+# and exits nonzero on any deviation. (d, m) also pins h0, the condition
+# count and the constant n*d/m, which Candidate derives from them.
 REFERENCE_TABLE: dict[int, tuple[int, int, int, int]] = {
     2: (1, 2, 3, 2),
     3: (1, 2, 3, 2),

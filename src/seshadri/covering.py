@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Sequence
 
-from .exact import SurdValue, is_perfect_square, surd_compare
+from .exact import SurdValue, surd_compare
 
 __all__ = [
     "CoveringSpec",
@@ -48,18 +48,18 @@ class CoveringSpec:
 
 @dataclass(frozen=True)
 class SeshadriBounds:
-    """Exact lower and upper bounds, with maximality when they coincide."""
+    """Exact lower and upper bounds, maximal when they coincide."""
 
     lower: Fraction
     upper: SurdValue
-    maximal: bool
 
     def __post_init__(self) -> None:
-        cmp = surd_compare(SurdValue(self.lower), self.upper)
-        if cmp > 0:
+        if surd_compare(SurdValue(self.lower), self.upper) > 0:
             raise ValueError("lower bound exceeds upper bound")
-        if self.maximal != (cmp == 0):
-            raise ValueError("maximal flag inconsistent with the bounds")
+
+    @property
+    def maximal(self) -> bool:
+        return surd_compare(SurdValue(self.lower), self.upper) == 0
 
 
 def steffens_bounds(spec: CoveringSpec, r: int) -> SeshadriBounds:
@@ -73,7 +73,7 @@ def steffens_bounds(spec: CoveringSpec, r: int) -> SeshadriBounds:
     s = r * spec.pullback_self_intersection
     lower = Fraction(isqrt(s), r)
     upper = SurdValue(Fraction(1, r), s)  # sqrt(n*L^2/r) = sqrt(r*n*L^2)/r
-    return SeshadriBounds(lower, upper, is_perfect_square(s))
+    return SeshadriBounds(lower, upper)
 
 
 def numeric_inequality_check(mults: Sequence[int], index: int) -> bool:
@@ -124,25 +124,21 @@ def nagata_conjectural(points: int) -> SurdValue:
 class KnownConstant:
     """A classical multi-point Seshadri constant of O(1) on the plane."""
 
-    points: int
     value: Fraction
     exceptional_curve: str
 
 
 # Known values of the Seshadri constant of O(1) at 1..9 very general plane
-# points, each with the classical curve realizing it. Reference data for
-# callers; nothing in this package derives them.
+# points, keyed by the point count, each with the classical curve realizing
+# it. Reference data for callers; nothing in this package derives them.
 KNOWN_PLANE_CONSTANTS: dict[int, KnownConstant] = {
-    c.points: c
-    for c in (
-        KnownConstant(1, Fraction(1), "a line through the point"),
-        KnownConstant(2, Fraction(1, 2), "the line through both points"),
-        KnownConstant(3, Fraction(1, 2), "a line through two of the points"),
-        KnownConstant(4, Fraction(1, 2), "a line through two of the points"),
-        KnownConstant(5, Fraction(2, 5), "the conic through all five points"),
-        KnownConstant(6, Fraction(2, 5), "a conic through five of the points"),
-        KnownConstant(7, Fraction(3, 8), "a cubic double at one point, through the other six"),
-        KnownConstant(8, Fraction(6, 17), "a sextic triple at one point, double at the other seven"),
-        KnownConstant(9, Fraction(1, 3), "the cubic through all nine points"),
-    )
+    1: KnownConstant(Fraction(1), "a line through the point"),
+    2: KnownConstant(Fraction(1, 2), "the line through both points"),
+    3: KnownConstant(Fraction(1, 2), "a line through two of the points"),
+    4: KnownConstant(Fraction(1, 2), "a line through two of the points"),
+    5: KnownConstant(Fraction(2, 5), "the conic through all five points"),
+    6: KnownConstant(Fraction(2, 5), "a conic through five of the points"),
+    7: KnownConstant(Fraction(3, 8), "a cubic double at one point, through the other six"),
+    8: KnownConstant(Fraction(6, 17), "a sextic triple at one point, double at the other seven"),
+    9: KnownConstant(Fraction(1, 3), "the cubic through all nine points"),
 }

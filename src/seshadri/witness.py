@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cluster import BranchJet
+from .cluster import MAX_IMPLICIT_PRECISION, BranchJet
 from .exact import RatMatrix
 from .intersection import local_intersection
 from .series import AtLeast, BiSeries, PrecisionError, XSeries, order_meets
@@ -34,7 +34,7 @@ __all__ = [
 # 25 s at target 256 (2-vCPU Xeon VM); past the rank, more contact rows
 # add little.
 MAX_WITNESS_DEGREE = 16
-MAX_WITNESS_TARGET = 256
+MAX_WITNESS_TARGET = MAX_IMPLICIT_PRECISION
 
 
 class VerificationError(Exception):
@@ -83,9 +83,12 @@ class WitnessVerdict:
     target, so kernel_dim can exceed unknowns - conditions.
     """
 
+    problem: WitnessProblem
     basis: tuple[tuple[Fraction, ...], ...]
-    monomials: tuple[tuple[int, int], ...]
-    conditions: int
+
+    @property
+    def monomials(self) -> tuple[tuple[int, int], ...]:
+        return tuple(curve_monomials(self.problem.degree))
 
     @property
     def exists(self) -> bool:
@@ -98,6 +101,11 @@ class WitnessVerdict:
     @property
     def unknowns(self) -> int:
         return len(self.monomials)
+
+    @property
+    def conditions(self) -> int:
+        below = min(self.problem.mult, self.problem.degree + 1)  # 1 + 2 + ... + below monomials
+        return below * (below + 1) // 2 + self.problem.target
 
     def basis_curves(self) -> list[BiSeries]:
         return [
@@ -125,19 +133,16 @@ def solve_witness(problem: WitnessProblem) -> WitnessVerdict:
     rows = [[powers[q].coeffs.get(e - p, Fraction(0)) for p, q in high]
             for e in range(problem.mult, problem.target)]
     kernel = RatMatrix(rows, cols=len(high)).kernel()
-    verdict = WitnessVerdict(
-        basis=tuple((Fraction(0),) * low + tuple(vec) for vec in kernel),
-        monomials=tuple(monos),
-        conditions=low + problem.target,
-    )
-    _recheck(verdict, problem)
+    verdict = WitnessVerdict(problem, tuple((Fraction(0),) * low + tuple(vec) for vec in kernel))
+    _recheck(verdict)
     return verdict
 
 
-def _recheck(verdict: WitnessVerdict, problem: WitnessProblem) -> None:
+def _recheck(verdict: WitnessVerdict) -> None:
     """Defense in depth: basis curves must pass the independent checks, or
     VerificationError is raised (an explicit raise, so it holds under -O).
     The branch is cut at the target order (at least 1, for substitute_y)."""
+    problem = verdict.problem
     branch = BranchJet(XSeries(problem.branch.g.coeffs, max(problem.target, 1)))
     for curve in verdict.basis_curves():
         mult = curve.multiplicity()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import io
 import json
 import signal
@@ -383,6 +384,19 @@ def test_witness_size_limits(capsys, degree, target):
     assert "must be at most" in err
 
 
+def test_witness_target_limit_is_the_same_for_both_branch_forms(capsys):
+    # without --precision an implicit branch is solved to the target, capped
+    # at the precision limit, so the target limit is what gets reported
+    target = str(MAX_WITNESS_TARGET + 1)
+    errs = {assert_usage_error(capsys, "witness", "--branch", branch, "--degree", "2",
+                               "--mult", "0", "--target", target)
+            for branch in ("y=x^2", "y-x^2")}
+    assert errs == {f"usage error: target order must be at most {MAX_WITNESS_TARGET}\n"}
+    code, out, _ = run(capsys, "witness", "--branch", "y-x^2", "--degree", "2", "--mult", "0",
+                       "--target", str(MAX_WITNESS_TARGET))
+    assert code == 0 and f"# input.precision\t{MAX_WITNESS_TARGET}\n" in out
+
+
 def test_implicit_branch_precision_limit(capsys):
     code, out, _ = run(capsys, "cluster", "--curve=y", "--branch=y-x^2", "--n=2",
                        f"--precision={MAX_IMPLICIT_PRECISION}")
@@ -512,6 +526,15 @@ def test_module_entry_point_runs():
     proc = run_python("-m", "seshadri", "table")
     assert proc.returncode == 0
     assert "48/17" in proc.stdout
+
+
+def test_library_has_no_assert():
+    # python -O strips asserts, so every check in the library is an explicit raise
+    src = Path(__file__).resolve().parents[1] / "src" / "seshadri"
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, (path.name, lines)
 
 
 def test_acceptance_criteria_pass_without_asserts():

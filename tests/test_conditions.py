@@ -80,11 +80,13 @@ def test_candidate_search_validation():
 
 def test_candidate_record_invariants():
     with pytest.raises(ValueError):
-        Candidate(n=8, d=6, m=16, h0=28, conditions=27, epsilon=Fraction(3))  # d^2 n > m^2
+        Candidate(n=8, d=6, m=16)  # d^2 n > m^2
     with pytest.raises(ValueError):
-        Candidate(n=2, d=1, m=2, h0=2, conditions=2, epsilon=Fraction(1))  # no room
+        Candidate(n=2, d=0, m=0)  # no degree, so no constant n*d/m
     with pytest.raises(ValueError):
-        Candidate(n=2, d=1, m=2, h0=3, conditions=2, epsilon=Fraction(2))  # wrong epsilon
+        Candidate(n=2, d=1, m=3)  # no room: h0 = 3 <= 4 conditions
+    c = Candidate(n=2, d=1, m=2)  # h0 = 3 > 2 conditions
+    assert (c.h0, c.conditions, c.epsilon) == (3, 2, Fraction(1))
 
 
 def test_candidates_stay_below_sqrt_n():

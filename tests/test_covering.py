@@ -65,9 +65,7 @@ def test_bounds_grid_maximal_iff_perfect_square():
 
 def test_bounds_record_rejects_inconsistency():
     with pytest.raises(ValueError):
-        SeshadriBounds(Fraction(3), SurdValue(Fraction(1), 2), False)
-    with pytest.raises(ValueError):
-        SeshadriBounds(Fraction(1), SurdValue(Fraction(1), 2), True)
+        SeshadriBounds(Fraction(3), SurdValue(Fraction(1), 2))
 
 
 # --------------------------------------------------- numeric inequality
