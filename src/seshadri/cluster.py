@@ -121,7 +121,7 @@ def pullback_mult(curve: BiSeries, n: int) -> "int | AtLeast":
 
 # Also the witness target cap, so a branch can be solved to any target. The
 # cap still bounds real work: a dense F such as y+(x+y)^2*(1+x-y)^30 takes
-# about 8.5 s at 256 (2-vCPU Xeon VM), against 0.6 s for y+y^2+x*y^3-x^2+x^3*y.
+# about 1.1 s at 256 (2-vCPU Xeon VM), against 0.02 s for y+y^2+x*y^3-x^2+x^3*y.
 MAX_IMPLICIT_PRECISION = 256
 
 

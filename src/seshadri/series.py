@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Mapping
 
 __all__ = [
@@ -58,25 +58,86 @@ def _validate_precision(precision: int | float) -> int | float:
     raise ValueError(f"precision must be a non-negative integer or INF, got {precision!r}")
 
 
+def _add(out: dict[int, Fraction], e: int, c: Fraction) -> None:
+    """out[e] += c, dropping the key when the sum is zero."""
+    total = out[e] + c if e in out else c
+    if total:
+        out[e] = total
+    else:
+        out.pop(e, None)
+
+
+def _pack(ints: list[tuple[int, int]], span: int, width: int) -> int:
+    """sum n * 2^(8 * width * e) over (e, n) in ints, |n| < 2^(8 * width - 1):
+    every slot is biased to non-negative bytes, the slots are joined, and
+    the joined bias is taken off again."""
+    half = 1 << (8 * width - 1)
+    bias = half.to_bytes(width, "little")
+    slots = [bias] * span
+    for e, n in ints:
+        slots[e] = (n + half).to_bytes(width, "little")
+    return int.from_bytes(b"".join(slots), "little") - int.from_bytes(bias * span, "little")
+
+
+def _kronecker(ta: list[tuple[int, Fraction]], tb: list[tuple[int, Fraction]],
+               cap: int | float) -> list[tuple[int, Fraction]] | None:
+    """The nonzero terms of ta*tb below cap from one packed integer product;
+    None for a small product, a sparse operand (whose empty slots would cost
+    more than its terms), or an lcm that far outgrows the denominators it
+    scales (many distinct large ones). Both operands start at exponent 0."""
+    if len(ta) * len(tb) <= 64:
+        return None
+    operands = []
+    for terms in (ta, tb):
+        span = max(e for e, _ in terms) + 1
+        dens = [c.denominator for _, c in terms]
+        scale = lcm(*dens)
+        if span > 2 * len(terms) or scale.bit_length() > 2 * max(dens).bit_length() + 64:
+            return None
+        ints = [(e, c.numerator * (scale // c.denominator)) for e, c in terms]
+        operands.append((span, scale, ints, max(abs(n) for _, n in ints).bit_length()))
+    (span_a, da, na, bits_a), (span_b, db, nb, bits_b) = operands
+    # the slot bound of _xmul's docstring, in whole bytes
+    width = (bits_a + bits_b + min(len(ta), len(tb)).bit_length() + 2 + 7) // 8
+    product = _pack(na, span_a, width) * _pack(nb, span_b, width)
+    # biasing every slot again turns the balanced signed digits into bytes
+    slots = min(span_a + span_b - 1, cap)
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * slots, "little")
+    data = ((product + bias) & ((1 << 8 * width * slots) - 1)).to_bytes(width * slots, "little")
+    coeffs = (int.from_bytes(data[i:i + width], "little") - half
+              for i in range(0, len(data), width))
+    scale = da * db
+    return [(e, Fraction(c, scale)) for e, c in enumerate(coeffs) if c]
+
+
 def _xmul(a: dict[int, Fraction], b: dict[int, Fraction], cap: int | float,
           out: dict[int, Fraction] | None = None) -> dict[int, Fraction]:
     """Product of two x-series coefficient dicts, exponents below cap only.
 
     The only coefficient-product kernel of the package. With `out` given the
     product is added into it (and zero sums dropped) instead of a new dict.
+
+    Kronecker substitution (von zur Gathen & Gerhard, Modern Computer
+    Algebra, 8.4): each operand is scaled to integers A, B by the lcm of its
+    denominators and evaluated at x = 2^k, so one integer product holds
+    every coefficient of A*B in its own k-bit slot. Such a coefficient sums
+    at most min(len a, len b) products, so k >= bits(max|A|) + bits(max|B|)
+    + bits(min length) + 2 keeps each balanced signed slot apart. Products
+    that _kronecker declines take the term-by-term loop.
     """
     if out is None:
         out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            if e >= cap:
-                continue
-            c = out.get(e, Fraction(0)) + ca * cb
-            if c:
-                out[e] = c
-            elif e in out:
-                del out[e]
+    lo_a, lo_b = min(a, default=0), min(b, default=0)
+    # only terms that can land below cap, exponents shifted to start at 0
+    ta = [(e - lo_a, c) for e, c in a.items() if e + lo_b < cap]
+    tb = [(e - lo_b, c) for e, c in b.items() if e + lo_a < cap]
+    lo, cap = lo_a + lo_b, cap - lo_a - lo_b
+    terms = _kronecker(ta, tb, cap)
+    if terms is None:
+        terms = ((ea + eb, ca * cb) for ea, ca in ta for eb, cb in tb if ea + eb < cap)
+    for e, c in terms:
+        _add(out, lo + e, c)
     return out
 
 
@@ -273,11 +334,7 @@ class BiSeries(_Series):
         for q in range(max(rows, default=0), -1, -1):
             acc = _xmul(acc, g.coeffs, prec)
             for p, c in rows.get(q, {}).items():
-                v = acc.get(p, Fraction(0)) + c
-                if v:
-                    acc[p] = v
-                elif p in acc:
-                    del acc[p]
+                _add(acc, p, c)
         return XSeries(acc, prec)
 
     def translate_y(self, g: XSeries) -> "BiSeries":

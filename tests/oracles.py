@@ -3,9 +3,10 @@
 These deliberately avoid the library's own code paths: numeric surd ordering
 goes through mpmath, local intersection numbers through sympy resultants, the
 determinant check below is plain cofactor expansion, row reduction is
-plain Fraction Gauss-Jordan, and implicit branches are solved one
-coefficient at a time. Floating point and computer algebra live here, never
-in the library.
+plain Fraction Gauss-Jordan, implicit branches are solved one coefficient
+at a time, and series products are the term-by-term double loop that the
+library's packed-integer `_xmul` replaced. Floating point and computer
+algebra live here, never in the library.
 """
 
 from __future__ import annotations
@@ -95,6 +96,26 @@ def rational_rref(entries: list[list[Fraction]], cols: int) -> tuple[list[list[F
         if r == len(m):
             break
     return m, pivots
+
+
+def schoolbook_xmul(a: dict[int, Fraction], b: dict[int, Fraction], cap: int | float,
+                    out: dict[int, Fraction] | None = None) -> dict[int, Fraction]:
+    """Product of two x-series coefficient dicts below cap, one Fraction
+    product per pair of terms; with `out` given the product is added into it
+    and zero sums dropped. The library's `_xmul` must agree exactly."""
+    if out is None:
+        out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            if e >= cap:
+                continue
+            c = out.get(e, Fraction(0)) + ca * cb
+            if c:
+                out[e] = c
+            elif e in out:
+                del out[e]
+    return out
 
 
 def undetermined_branch(f: BiSeries, precision: int) -> BranchJet:

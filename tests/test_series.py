@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from oracles import schoolbook_xmul
 from seshadri.series import (
     INF,
     AtLeast,
     BiSeries,
     PrecisionError,
     XSeries,
+    _kronecker,
+    _xmul,
     order_meets,
 )
 
@@ -117,6 +122,95 @@ def test_ord_additive(f, g):
     prod = f * g
     if of + og < prod.precision:
         assert prod.ord() == of + og
+
+
+# ---------------------------------------------------- the product kernel
+
+# unit, small and huge (thousands of bits) numerators, integers that fill
+# whole bytes (so a slot one bit too narrow overflows), and many distinct
+# large denominators
+coefficient_kinds = [
+    st.sampled_from([Fraction(1), Fraction(-1)]),
+    st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9)),
+    st.builds(Fraction, st.integers(-2**3000, 2**3000).filter(bool), st.integers(1, 9)),
+    st.builds(lambda k, sign: Fraction(sign * (2 ** (8 * k) - 1)),
+              st.integers(1, 4), st.sampled_from([1, -1])),
+    st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(2**999, 2**1000)),
+]
+rationals = st.one_of(coefficient_kinds)
+
+
+@st.composite
+def xmul_operands(draw):
+    """Runs of up to 24 terms of one coefficient kind or a mix, from a
+    random start, every step-th exponent with holes: products of up to 576
+    terms, dense and sparse, on both sides of the small-product cutoff (64)
+    and of the guards."""
+    start = draw(st.integers(0, 5))
+    step = draw(st.sampled_from([1, 1, 2, 3]))
+    size = draw(st.sampled_from([24, 16, 9, 8, 4, 1, 0]))
+    kind = draw(st.sampled_from(coefficient_kinds + [rationals]))
+    run = draw(st.lists(kind, min_size=size, max_size=size))
+    holes = draw(st.sets(st.integers(0, 23), max_size=4))
+    return {start + step * i: c for i, c in enumerate(run) if i not in holes}
+
+
+@st.composite
+def xmul_cases(draw):
+    a, b = draw(xmul_operands()), draw(xmul_operands())
+    floor = min(a, default=0) + min(b, default=0)
+    # no cap, one that cuts inside the product, and one at or below its
+    # lowest exponent
+    cap = draw(st.one_of(st.just(INF), st.integers(floor + 1, floor + 60),
+                         st.integers(0, floor)))
+    return a, b, cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(xmul_cases(), st.dictionaries(st.integers(0, 80), rationals, max_size=4))
+def test_xmul_matches_schoolbook(case, out):
+    a, b, cap = case
+    expected = schoolbook_xmul(a, b, cap, dict(out))
+    got = _xmul(a, b, cap, out)
+    assert got is out and got == expected and all(got.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(xmul_cases())
+def test_xmul_accumulation_cancels_to_an_empty_dict(case):
+    a, b, cap = case
+    out = {e: -c for e, c in schoolbook_xmul(a, b, cap).items()}
+    assert _xmul(a, b, cap, out) == {}
+
+
+def test_xmul_packs_only_large_dense_products():
+    dense = [(e, Fraction(e + 1, 3)) for e in range(9)]
+    # 8 * 8 terms stay below the small-product cutoff, 9 * 9 do not
+    assert _kronecker(dense[:8], dense[:8], INF) is None
+    assert _kronecker(dense, dense, INF) is not None
+    # every third exponent: more empty slots than terms
+    sparse = [(3 * e, c) for e, c in dense]
+    assert _kronecker(sparse, dense, INF) is None
+    a, b = dict(dense), dict(sparse)
+    assert _xmul(a, b, 20) == schoolbook_xmul(a, b, 20)
+    # a far exponent must not allocate the slots of its gap
+    far = {**a, 10**12: Fraction(1)}
+    assert _xmul(far, far, INF) == schoolbook_xmul(far, far, INF)
+
+
+def test_xmul_keeps_the_loop_when_the_lcm_outgrows_the_denominators():
+    # 64 distinct 1000-bit denominators have an lcm of about 64000 bits;
+    # packing over it took about 4x the term-by-term loop
+    rng = random.Random(5)
+    a, b = ({e: Fraction(rng.randint(1, 9), rng.getrandbits(1000) | 1 << 999 | 1)
+             for e in range(64)} for _ in range(2))
+    started = time.perf_counter()
+    expected = schoolbook_xmul(a, b, INF)
+    loop = time.perf_counter() - started
+    started = time.perf_counter()
+    got = _xmul(a, b, INF)
+    assert time.perf_counter() - started < 2 * loop + 0.5
+    assert got == expected
 
 
 # ------------------------------------------------------------ substitution
