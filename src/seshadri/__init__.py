@@ -39,7 +39,6 @@ from .covering import (
 from .exact import (
     RatMatrix,
     SurdValue,
-    is_perfect_square,
     surd_compare,
 )
 from .intersection import local_intersection
@@ -76,7 +75,6 @@ __all__ = [
     "constants_table",
     "discard_search",
     "h0_plane",
-    "is_perfect_square",
     "local_intersection",
     "n8_certificate",
     "nagata_conjectural",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
@@ -42,6 +43,8 @@ APPROX_DIGITS = 20
 MAX_CLUSTER_N = 10_000
 # a dense degree-64 curve with 100-digit coefficients is about 250 KB
 MAX_CURVE_FILE_BYTES = 1 << 20
+# TSV keeps one record per line: every break str.splitlines() knows becomes "; "
+_LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
 
 
 class UsageError(ValueError):
@@ -57,7 +60,7 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class Report:
-    """Deterministic command report; JSON keys are emitted sorted."""
+    """Deterministic report of exact values, which `render` alone turns into text."""
 
     command: str
     inputs: dict
@@ -71,7 +74,7 @@ class Report:
             "results": self.results,
             "provenance": self.provenance,
         }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(payload, sort_keys=True, indent=2, default=str)
 
     def to_tsv(self) -> str:
         lines = [f"# command\t{self.command}"]
@@ -91,7 +94,12 @@ class Report:
         return "\n".join(lines)
 
     def render(self, fmt: str) -> str:
-        return self.to_json() if fmt == "json" else self.to_tsv()
+        try:
+            return self.to_json() if fmt == "json" else self.to_tsv()
+        except ValueError as exc:
+            # str() of an int past the interpreter's conversion limit
+            raise UsageError(f"a result has a number longer than the "
+                             f"{sys.get_int_max_str_digits()} digits a report can print") from exc
 
 
 def _tsv_scalar(value) -> str:
@@ -99,8 +107,7 @@ def _tsv_scalar(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (list, tuple)):
         return ",".join(_tsv_scalar(v) for v in value)
-    # keep one record per line even when inputs span lines
-    return str(value).replace("\t", " ").replace("\n", "; ")
+    return _LINE_BREAK.sub("; ", str(value).replace("\t", " "))
 
 
 def _approx_str(value: SurdValue | Fraction, digits: int = APPROX_DIGITS) -> str:
@@ -183,7 +190,7 @@ def cmd_table(args) -> tuple[Report, int]:
             ok = False
             continue
         row = (cand.d, cand.m, cand.h0, cand.conditions)
-        rows.append([n, *row, str(cand.epsilon)])
+        rows.append([n, *row, cand.epsilon])
         ok = ok and row == REFERENCE_TABLE[n]
     report = Report(
         command="table",
@@ -210,9 +217,9 @@ def cmd_bounds(args) -> tuple[Report, int]:
         command="bounds",
         inputs={"n": args.n, "l2": args.l2, "r": args.r},
         results={
-            "lower": str(bounds.lower),
+            "lower": bounds.lower,
             "lower_approx": _approx_str(bounds.lower),
-            "upper": str(bounds.upper),
+            "upper": bounds.upper,
             "upper_approx": _approx_str(bounds.upper),
             "maximal": bounds.maximal,
             "pullback_self_intersection": spec.pullback_self_intersection,
@@ -253,7 +260,7 @@ def cmd_cluster(args) -> tuple[Report, int]:
         results={
             "mults": list(result.mults),
             "total": result.total,
-            "pullback_multiplicity": str(pm) if isinstance(pm, AtLeast) else pm,
+            "pullback_multiplicity": pm,
             "determinate": result.determinate,
             "verified": verified,
         },
@@ -267,11 +274,19 @@ def cmd_cluster(args) -> tuple[Report, int]:
     return report, EXIT_OK if verified else EXIT_VERIFICATION
 
 
+@dataclass(frozen=True)
+class _N8Branch:
+    b: int  # 8*b may pass the digit limit, which only Report.render reports
+
+    def __str__(self) -> str:
+        return f"y=x^{8 * self.b}+x^4+x^2"
+
+
 def cmd_witness(args) -> tuple[Report, int]:
     if args.preset == "n8":
         verdict = n8_certificate(args.b)
         problem = verdict.problem
-        inputs = {"preset": "n8", "b": args.b, "branch": f"y=x^{8 * args.b}+x^4+x^2",
+        inputs = {"preset": "n8", "b": args.b, "branch": _N8Branch(args.b),
                   "degree": problem.degree, "mult": problem.mult, "target": problem.target}
         provenance = [
             "built-in certificate branch for the degree-8 covering",
@@ -294,7 +309,6 @@ def cmd_witness(args) -> tuple[Report, int]:
         inputs = {"branch": args.branch.strip(), "degree": args.degree,
                   "mult": args.mult, "target": args.target, "precision": precision}
         provenance = ["exact kernel of the multiplicity and contact-order conditions"]
-    _check_printable(verdict.basis)
     report = Report(
         command="witness",
         inputs=inputs,
@@ -303,23 +317,12 @@ def cmd_witness(args) -> tuple[Report, int]:
             "kernel_dim": verdict.kernel_dim,
             "unknowns": verdict.unknowns,
             "conditions": verdict.conditions,
-            "basis": [str(curve) for curve in verdict.basis_curves()],
-            "basis_vectors": [[str(c) for c in vec] for vec in verdict.basis],
+            "basis": verdict.basis_curves(),
+            "basis_vectors": verdict.basis,
         },
         provenance=provenance,
     )
     return report, EXIT_OK
-
-
-def _check_printable(basis: tuple[tuple[Fraction, ...], ...]) -> None:
-    """Reject a basis that str() cannot render under the interpreter's limit
-    on integer-to-string conversion (4300 digits unless configured)."""
-    limit = sys.get_int_max_str_digits()
-    largest = max((max(abs(c.numerator), c.denominator) for vec in basis for c in vec), default=0)
-    # 10**limit has more than 3*limit bits, so the bit test only skips small bases
-    if limit and largest.bit_length() > 3 * limit and largest >= 10**limit:
-        raise UsageError(
-            f"the basis has a coefficient longer than the {limit} digits a report can print")
 
 
 def cmd_nagata(args) -> tuple[Report, int]:
@@ -355,10 +358,10 @@ def cmd_nagata(args) -> tuple[Report, int]:
     report = Report(
         command="nagata",
         inputs={"n": args.n, "r": args.r,
-                "eps": args.eps if args.eps is not None else str(eps),
+                "eps": args.eps if args.eps is not None else eps,
                 "conjecture": bool(args.conjecture)},
         results={
-            "bound": str(bound),
+            "bound": bound,
             "bound_approx": _approx_str(bound),
             "eps_source": source,
             "maximal": maximal,
@@ -382,6 +385,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         report, code = _COMMANDS[args.command](args)
+        text = report.render(args.format)
     except ValueError as exc:  # UsageError, ParseError and the library's own checks
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -391,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    print(report.render(args.format))
+    print(text)
     return code
 
 

@@ -29,16 +29,13 @@ def condition_count(n: int, m: int) -> int:
     """Conditions for an invariant divisor to vanish to order m at a
     ramification point: (k+1)(n*k/2 + r) with m = n*k + r.
 
-    Counts the lattice points (i, n*j) with i + n*j < m; always an integer
-    even though the formula has a half in it.
+    Counts the lattice points (i, n*j) with i + n*j < m; an integer even
+    though the formula has a half in it, since k(k+1) is even.
     """
     if n < 2 or m < 0:
         raise ValueError("need n >= 2 and m >= 0")
     k, r = divmod(m, n)
-    count = Fraction(k + 1) * (Fraction(n * k, 2) + r)
-    if count.denominator != 1:
-        raise ArithmeticError(f"condition count came out non-integral for n={n}, m={m}")
-    return int(count)
+    return (k + 1) * (n * k + 2 * r) // 2
 
 
 def h0_plane(d: int) -> int:

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import lcm
 from typing import Iterable
 
 __all__ = [
-    "is_perfect_square",
     "square_free_split",
     "SurdValue",
     "surd_compare",
@@ -26,13 +25,6 @@ __all__ = [
 
 # trial division runs up to sqrt(n): at most 5 * 10**5 divisors at the limit
 MAX_RADICAND = 10**12
-
-
-def is_perfect_square(n: int) -> bool:
-    if n < 0:
-        return False
-    s = isqrt(n)
-    return s * s == n
 
 
 def square_free_split(n: int) -> tuple[int, int]:

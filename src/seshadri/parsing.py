@@ -10,7 +10,8 @@ and parentheses:
     atom   = uint ["/" uint] | "x" | "y" | "(" expr ")"
 
 A product or power whose total degree would exceed MAX_DEGREE is rejected
-before it is expanded, and so is an exponent above MAX_DEGREE.
+before it is expanded, and so is an exponent above MAX_DEGREE. Parentheses
+nested deeper than MAX_NESTING are rejected before the parser recurses.
 
 Curves may also be given as a list of monomial lines "p q coeff" with coeff
 an integer or num/den. Branches are either explicit graphs "y = poly(x)" or
@@ -47,6 +48,8 @@ _ONE = BiSeries({(0, 0): 1})
 
 # expanding a power costs about the cube of its degree
 MAX_DEGREE = 64
+# each level costs four stack frames, well inside the interpreter's 1000
+MAX_NESTING = 64
 
 
 def _degree(poly: BiSeries) -> int:
@@ -73,6 +76,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.source = source
+        self.depth = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -142,7 +146,12 @@ class _Parser:
         if tok == "y":
             return BiSeries({(0, 1): 1})
         if tok == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING} "
+                                 f"in {self.source!r}")
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             if self.take() != ")":
                 raise ParseError(f"missing closing parenthesis in {self.source!r}")
             return inner

@@ -1,7 +1,7 @@
 """Independent oracles used by the test suite.
 
-These deliberately avoid the library's own code paths: numeric surd ordering
-goes through mpmath, local intersection numbers through sympy resultants, the
+These deliberately avoid the library's own code paths: perfect squares are
+tested by integer square root, numeric surd ordering goes through mpmath, local intersection numbers through sympy resultants, the
 determinant check below is plain cofactor expansion, row reduction is
 plain Fraction Gauss-Jordan, implicit branches are solved one coefficient
 at a time, and series products are the term-by-term double loop that the
@@ -12,12 +12,18 @@ algebra live here, never in the library.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 import sympy
 
 from seshadri.cluster import BranchJet
 from seshadri.series import BiSeries, XSeries
+
+
+def is_perfect_square(n: int) -> bool:
+    """Whether n >= 0 is the square of an integer."""
+    return isqrt(n) ** 2 == n
 
 
 def surd_sign_numeric(coeff: Fraction, radicand: int, digits: int = 60) -> "mpmath.mpf":

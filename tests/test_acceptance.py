@@ -21,12 +21,12 @@ from seshadri.covering import (
     numeric_inequality_check,
     steffens_bounds,
 )
-from seshadri.exact import SurdValue, is_perfect_square
+from seshadri.exact import SurdValue
 from seshadri.intersection import local_intersection
 from seshadri.series import AtLeast, BiSeries, XSeries
 from seshadri.witness import n8_certificate
 
-from oracles import resultant_intersection_order
+from oracles import is_perfect_square, resultant_intersection_order
 
 
 def _report(number: int, description: str, ok: bool) -> None:

@@ -206,6 +206,10 @@ def test_cluster_implicit_branch_verifies(capsys):
     assert "verified\ttrue" in out
 
 
+def nested(depth: int, text: str = "x") -> str:
+    return "(" * depth + text + ")" * depth
+
+
 def test_cluster_degree_limit(capsys):
     code, out, _ = run(capsys, "cluster", "--curve", "x^64", "--n", "2")
     assert code == 0 and "mults\t64,0" in out
@@ -216,6 +220,13 @@ def test_cluster_degree_limit(capsys):
         assert time.perf_counter() - start < 1.0
         assert code == 1 and out == ""
         assert err.startswith("usage error: total degree") and "limit 64" in err
+    # deeper parentheses would run the recursive parser out of stack
+    code, out, _ = run(capsys, "cluster", "--curve", nested(64), "--n", "2")
+    assert code == 0 and "mults\t1,0" in out
+    for argv in (["--curve", nested(65)], ["--curve", nested(5000)],
+                 ["--curve", "x", "--branch", nested(400, "y-x^2")]):
+        err = assert_usage_error(capsys, "cluster", *argv, "--n", "2")
+        assert err.startswith("usage error: parentheses nested deeper than 64"), err
 
 
 def test_cluster_n_limit(capsys):
@@ -351,11 +362,20 @@ def test_unreadable_curve_file_is_usage_error(tmp_path, capsys):
         assert message in err
 
 
-def test_unprintable_witness_basis_is_usage_error(capsys):
+@pytest.mark.parametrize("argv", [
     # solvable, but the basis holds the cube of a 1500-digit coefficient
-    err = assert_usage_error(capsys, "witness", "--branch", f"y={'3' * 1500}*x",
-                             "--degree", "3", "--mult", "0", "--target", "4")
-    assert "basis has a coefficient longer than the 4300 digits" in err
+    ["witness", "--branch", f"y={'3' * 1500}*x", "--degree", "3", "--mult", "0",
+     "--target", "4"],
+    # eps has the 4300 digits int() converts, and the bound 9 * eps one more
+    ["nagata", "--n", "9", "--eps", "9" * 4300],
+    ["nagata", "--n", "9", "--eps", "9" * 4300, "--format", "json"],
+    # the echoed preset branch has the exponent 8 * b
+    ["witness", "n8", "--b", "9" * 4300],
+], ids=["witness", "nagata", "nagata-json", "witness-n8"])
+def test_unprintable_result_is_usage_error(capsys, argv):
+    err = assert_usage_error(capsys, *argv)
+    assert err == ("usage error: a result has a number longer than the 4300 digits "
+                   "a report can print\n")
     assert "set_int_max_str_digits" not in err
 
 
@@ -374,6 +394,18 @@ def test_curve_file_keeps_text_mode_newlines(tmp_path, capsys):
     path.write_bytes(b"1 0 1\r\n0 2 1\r\n")
     code, out, _ = run(capsys, "cluster", "--curve-file", str(path), "--n", "2")
     assert code == 0 and "# input.curve\t1 0 1; 0 2 1\n" in out
+
+
+# every line break str.splitlines() knows; the grammar reads each as whitespace
+LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS, ids=lambda brk: ascii(brk)[1:-1])
+def test_tsv_keeps_one_record_per_line(capsys, brk):
+    code, out, _ = run(capsys, "cluster", "--curve", f"x{brk}+y^2", "--n", "2")
+    assert code == 0 and "# input.curve\tx; +y^2\n" in out
+    assert len(out.splitlines()) == out.count("\n")
 
 
 @pytest.mark.parametrize("degree, target", [(MAX_WITNESS_DEGREE + 1, 4),
@@ -461,8 +493,15 @@ _TEXT = st.one_of(
     st.tuples(st.sampled_from(["{}", "{}*x", "x^{}", "1 0 {}", "sqrt({})", "y={}*x"]), _RUN)
     .map(lambda form_run: form_run[0].format(form_run[1])),
 )
-_CURVE = st.one_of(_poly(4), _TEXT)
-_BRANCH = st.one_of(_poly(0).map("y={}".format), _poly(4).map("y+x*({})".format), _TEXT)
+# nesting on both sides of the parser's limit, and every line break
+_SHAPED = st.one_of(
+    st.integers(0, 2000).map(nested),
+    st.integers(0, 2000).map(lambda depth: nested(depth, "y-x^2")),
+    st.sampled_from(LINE_BREAKS).map("x{}+y".format),
+)
+_CURVE = st.one_of(_poly(4), _TEXT, _SHAPED)
+_BRANCH = st.one_of(_poly(0).map("y={}".format), _poly(4).map("y+x*({})".format), _TEXT,
+                    _SHAPED)
 _NUMBER = st.one_of(st.integers(-3, 12).map(str), st.integers(-10**6, 10**13).map(str), _RUN)
 # sizes past the witness and precision limits are rejected before any work
 _DEGREE = st.one_of(st.integers(-2, 6), st.integers(1, 3).map(MAX_WITNESS_DEGREE.__add__)).map(str)
@@ -502,6 +541,9 @@ def test_fuzz_main_exit_codes(argv):
     assert code in (0, 1, 2, 3)
     if code == 1:
         assert out.getvalue() == "" and err.getvalue().startswith("usage error: ")
+    report = out.getvalue()
+    if "--format=json" not in argv:  # TSV: one record per line
+        assert len(report.splitlines()) == report.count("\n")
 
 
 def test_json_reports_are_sorted_and_stable(capsys):

@@ -16,7 +16,9 @@ from seshadri.covering import (
     numeric_inequality_check,
     steffens_bounds,
 )
-from seshadri.exact import SurdValue, is_perfect_square, surd_compare
+from seshadri.exact import SurdValue, surd_compare
+
+from oracles import is_perfect_square
 
 
 def test_covering_spec_validation():

@@ -1,8 +1,7 @@
-"""Exact scalar layer: perfect squares, surds, rational matrices."""
+"""Exact scalar layer: square-free parts, surds, rational matrices."""
 
 from __future__ import annotations
 
-import math
 import time
 from fractions import Fraction
 
@@ -14,7 +13,6 @@ from seshadri.exact import (
     MAX_RADICAND,
     RatMatrix,
     SurdValue,
-    is_perfect_square,
     square_free_split,
     surd_compare,
 )
@@ -30,12 +28,6 @@ rationals = st.fractions(
 
 
 # ---------------------------------------------------------------- integers
-
-@given(st.integers(min_value=0, max_value=10**9))
-def test_is_perfect_square(n):
-    s = math.isqrt(n)
-    assert is_perfect_square(n) == (s * s == n)
-
 
 @given(st.integers(min_value=1, max_value=10**6))
 def test_square_free_split_reconstructs(n):

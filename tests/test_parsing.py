@@ -66,6 +66,11 @@ def test_parse_degree_limit():
                 "(x^8)^8 x"):
         with pytest.raises(ParseError, match="limit 64"):
             parse_poly_xy(bad)
+    # parentheses are checked before the parser recurses into them
+    assert parse_poly_xy("(" * 64 + "x" + ")" * 64) == BiSeries({(1, 0): 1})
+    for depth in (65, 5000):
+        with pytest.raises(ParseError, match="nested deeper than 64"):
+            parse_poly_xy("(" * depth + "x" + ")" * depth)
     assert parse_terms("64 0 1\n0 64 1\n") == BiSeries({(64, 0): 1, (0, 64): 1})
     with pytest.raises(ParseError, match="limit 64"):
         parse_terms("30 35 1\n")
