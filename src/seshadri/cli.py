@@ -346,8 +346,8 @@ def cmd_nagata(args) -> tuple[Report, int]:
     else:
         known = KNOWN_PLANE_CONSTANTS.get(points)
         if known is None:
-            raise UsageError(
-                f"no bundled constant for {points} points; pass --eps or --conjecture")
+            raise UsageError(f"no bundled constant for more than {max(KNOWN_PLANE_CONSTANTS)} "
+                             "points; pass --eps or --conjecture")
         eps = SurdValue(known.value)
         source = "known"
         notes.append(f"bundled classical value realized by {known.exceptional_curve}")
@@ -395,7 +395,10 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # the reader closed stdout early; the verdict stands
+        sys.stdout = None  # so that the flush at exit does not raise again
     return code
 
 

@@ -2,17 +2,17 @@
 with kernel computation.
 
 Everything in this module is exact. Rationals are arbitrary precision, surd
-comparison works by sign-aware squaring, and linear algebra runs
-fraction-free Gauss-Jordan elimination over the integers. No floating point
-is used anywhere in the library; decimal renderings for display live in the
-command line layer only.
+comparison works by sign-aware squaring, and linear algebra eliminates mod a
+prime and lifts kernel vectors p-adically, each checked exactly. No floating
+point is used anywhere in the library; decimal renderings for display live
+in the command line layer only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable
 
 __all__ = [
@@ -146,10 +146,114 @@ def surd_compare(a: "SurdValue | Fraction | int", b: "SurdValue | Fraction | int
     return -1 if less else 1
 
 
+def _pack(ints: Iterable[tuple[int, int]], span: int, width: int) -> int:
+    """sum n * 2^(8 * width * e) over (e, n) in ints, |n| < 2^(8 * width - 1):
+    each slot biased to non-negative bytes, joined, the joined bias removed."""
+    half = 1 << (8 * width - 1)
+    bias = half.to_bytes(width, "little")
+    slots = [bias] * span
+    for e, n in ints:
+        slots[e] = (n + half).to_bytes(width, "little")
+    return int.from_bytes(b"".join(slots), "little") - int.from_bytes(bias * span, "little")
+
+
+def _unpack(packed: int, span: int, width: int) -> list[int]:
+    """_pack's inverse: the first span slots, lowest first, biased to bytes."""
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * span, "little")
+    data = ((packed + bias) & ((1 << 8 * width * span) - 1)).to_bytes(width * span, "little")
+    return [int.from_bytes(data[i:i + width], "little") - half for i in range(0, len(data), width)]
+
+
 def _integer_row(row: list[Fraction]) -> list[int]:
     """The row times the lcm of its denominators: integer entries, same row space."""
     scale = lcm(*(v.denominator for v in row))
     return [v.numerator * (scale // v.denominator) for v in row]
+
+
+def _primes(seed: int):
+    """One-digit primes, below 2^30: 2^30 - 35, then hashed from seed, so no input fails a run."""
+    yield (1 << 30) - 35
+    while True:
+        seed = hash((seed,))
+        p = (1 << 30) - 37 - 2 * (seed % (1 << 28))
+        while any(p % d == 0 for d in range(3, isqrt(p) + 1, 2)):
+            p -= 2
+        yield p
+
+
+def _eliminate(rows: list[list[int]], p: int, cols: int) -> tuple[list[int], list[list[int]]]:
+    """Gauss-Jordan mod p, pivots among the first cols columns: the pivots and
+    the pivot rows, in [0, p). A row is one int of _pack slots plus bias; only
+    a pivot row is reduced, other slots take at most rank updates below p^2."""
+    span = max(map(len, rows), default=0)
+    width = (2 * p.bit_length() + span.bit_length() + 9) // 8
+    shift, mask, half = 8 * width, (1 << 8 * width) - 1, 1 << (8 * width - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * span, "little")
+    packed = [_pack(enumerate(v % p for v in row), span, width) + bias for row in rows]
+    pivots: list[int] = []
+    for c in range(cols):
+        column = [(((row >> c * shift) & mask) - half) % p for row in packed]
+        i = next((i for i in range(len(pivots), len(packed)) if column[i]), None)
+        if i is None:
+            continue
+        slots = _unpack(packed[i] - bias, span, width)
+        inverse = pow(slots[c], -1, p)
+        top = _pack(enumerate(v * inverse % p for v in slots), span, width)
+        packed = [row - f * top if f else row for row, f in zip(packed, column)]
+        packed[i], packed[len(pivots)] = packed[len(pivots)], top + bias
+        pivots.append(c)
+    return pivots, [[v % p for v in _unpack(row - bias, span, width)] for row in packed[:len(pivots)]]
+
+
+def _lift(a: list[list[int]], cols: int, rows: list[list[int]], pivots: list[int],
+          inverse: list[list[int]], frees: list[int], p: int) -> list[list[Fraction]] | None:
+    """Per free column f the v with a * v = 0, v[f] = 1 and 0 off pivots and f, or
+    None if one does not exist (p divides a minor over Q): Dixon lifting (Numer.
+    Math. 40, 1982) on the pivot block `rows`, inverse mod p given, and rational
+    reconstruction over one denominator (von zur Gathen & Gerhard, Modern Computer
+    Algebra, 5.10) at doubling precision until the vectors solve the block, at the
+    latest once n > 2 H^2 for the block's Hadamard bound H."""
+    r, big = len(pivots), max((abs(v) for row in rows for v in row), default=0)
+    # digits mod q = p^(2^k) of about bits(big) / r bits, the inverse lifted by Newton
+    q, square = p, [[row[c] for c in pivots] for row in rows]
+    while r * q.bit_length() < big.bit_length():
+        q *= q
+        t = [[sum(map(int.__mul__, row, col)) % q for col in zip(*inverse)] for row in square]
+        inverse = [[(2 * x - sum(map(int.__mul__, xrow, col))) % q for x, col in zip(xrow, zip(*t))]
+                   for xrow in inverse]
+    # |b| < 2 r big, and |b - block * x| < r big (q + 1)
+    bw = (r.bit_length() + big.bit_length() + q.bit_length() + 9) // 8
+    cw = (2 * q.bit_length() + r.bit_length() + 9) // 8
+    block = [_pack(enumerate(row[c] for row in rows), r, bw) for c in pivots]
+    inv = [_pack(enumerate(row[s] for row in inverse), r, cw) for s in range(r)]
+    bs = [_pack(enumerate(-row[f] for row in rows), r, bw) for f in frees]
+    digits, n, goal = [[0] * r for _ in frees], 1, q
+    while True:
+        for i, b in enumerate(bs):
+            y = sum(map(int.__mul__, (v % q for v in _unpack(b, r, bw)), inv))
+            x = [v % q for v in _unpack(y, r, cw)]
+            bs[i] = (b - sum(map(int.__mul__, x, block))) // q
+            digits[i] = [s + v * n for s, v in zip(digits[i], x)]
+        n *= q
+        if n >= goal:
+            # numerators and denominators up to bound are unique mod n > 2 bound^2
+            bound, den = 1 << (n.bit_length() - 2) // 2, 1
+            for s in (s for d in digits for s in d):
+                if den > bound:
+                    break
+                r0, r1, t0, t1 = n, den * s % n, 0, 1
+                while r1 > bound:
+                    f = r0 // r1
+                    r0, r1, t0, t1 = r1, r0 - f * r1, t1, t0 - f * t1
+                den *= abs(t1)
+            found = [dict(zip(pivots + [f], [(den * s + n // 2) % n - n // 2 for s in d] + [den]))
+                     for f, d in zip(frees, digits)]
+            vs = [[e.get(c, 0) for c in range(cols)] for e in found]
+            if den <= bound and not any(sum(map(int.__mul__, row, v)) for v in vs for row in rows):
+                exact = not any(sum(map(int.__mul__, row, v)) for v in vs for row in a)
+                return [[Fraction(e, den) for e in v] for v in vs] if exact else None
+            goal = n * n
 
 
 class RatMatrix:
@@ -179,49 +283,39 @@ class RatMatrix:
     def rref(self) -> tuple[list[list[Fraction]], list[int]]:
         """Reduced row echelon form and the list of pivot columns.
 
-        Fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968): each row
-        is scaled to integers by the lcm of its denominators, and every
-        update (p*a - f*b) // prev divides exactly by the previous pivot, so
-        entries stay minors of the scaled matrix. Only the r pivot rows go
-        back to Fraction, each divided by its own pivot entry.
-        """
-        m = [_integer_row(row) for row in self.entries]
-        pivots: list[int] = []
-        prev = 1
-        for c in range(self.cols):
-            r = len(pivots)
-            pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            top = m[r]
-            p = top[c]
-            for i, row in enumerate(m):
-                if i == r:
-                    continue
-                f = row[c]
-                if f:
-                    m[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
-                elif p != prev:
-                    m[i] = [p * a // prev for a in row]
-            prev = p
-            pivots.append(c)
-            if len(pivots) == len(m):
+        Rank mod a prime p is at most the rank over Q: full column rank mod p
+        proves the identity form, and k exact kernel vectors, one per column free
+        mod p, a kernel of dimension k. If a vector fails or is nonzero past its
+        free column (other pivots), the next prime is tried."""
+        a = [_integer_row(row) for row in self.entries]
+        m, n = len(a), self.cols
+        # columns divided by their contents: smaller entries, and v[j] * content[j] solves a
+        content = [gcd(*(row[j] for row in a)) or 1 for j in range(n)]
+        a = [[v // c for v, c in zip(row, content)] for row in a]
+        for p in _primes(hash(tuple(map(tuple, a)))):
+            frees, vectors = [], []
+            if m < n or len(_eliminate(a, p, n)[0]) < n:
+                # on [a | I] pivot rows end in the block's inverse, zero off its rows
+                pivots, tops = _eliminate([row + [int(i == j) for j in range(m)]
+                                           for i, row in enumerate(a)], p, n)
+                support = [j for j in range(m) if any(t[n + j] for t in tops)]
+                inverse = [[t[n + j] for j in support] for t in tops]
+                frees = [c for c in range(n) if c not in pivots]
+                vectors = _lift(a, n, [a[j] for j in support], pivots, inverse, frees, p)
+            if vectors is not None and all(not any(v[f + 1:]) for f, v in zip(frees, vectors)):
                 break
-        reduced = [[Fraction(a, row[c]) for a in row] for row, c in zip(m, pivots)]
-        reduced += [[Fraction(0)] * self.cols for _ in range(len(m) - len(pivots))]
-        return reduced, pivots
+        pivots, fixed = [c for c in range(n) if c not in frees], dict(zip(frees, vectors))
+        zero, one = Fraction(0), Fraction(1)
+        reduced = [[-fixed[j][c] * content[j] / content[c] if j in fixed else one if j == c else zero
+                    for j in range(n)] for c in pivots]
+        return reduced + [[zero] * n for _ in range(m - len(pivots))], pivots
 
     def kernel(self) -> list[list[Fraction]]:
         """Basis of the right kernel; every vector satisfies self * v = 0 exactly."""
         reduced, pivots = self.rref()
-        pivot_set = set(pivots)
         basis: list[list[Fraction]] = []
-        for free in range(self.cols):
-            if free in pivot_set:
-                continue
-            v = [Fraction(0)] * self.cols
-            v[free] = Fraction(1)
+        for free in (c for c in range(self.cols) if c not in pivots):
+            v = [Fraction(int(c == free)) for c in range(self.cols)]
             for i, p in enumerate(pivots):
                 v[p] = -reduced[i][free]
             basis.append(v)

@@ -124,9 +124,10 @@ class _Parser:
             if not tok.isdigit():
                 raise ParseError(f"exponent must be a non-negative integer in {self.source!r}")
             k = int(tok)
+            if k > MAX_DEGREE:  # before degree * k, which str() may not print
+                what = "total degree at least" if _degree(base) else "exponent"
+                raise ParseError(f"{what} {k} exceeds the limit {MAX_DEGREE} in {self.source!r}")
             self.check_degree(_degree(base) * k)
-            if k > MAX_DEGREE:  # constants are powered by repeated products too
-                raise ParseError(f"exponent {k} exceeds the limit {MAX_DEGREE} in {self.source!r}")
             return base ** k
         return base
 

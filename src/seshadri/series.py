@@ -14,6 +14,8 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Mapping
 
+from .exact import _pack, _unpack
+
 __all__ = [
     "INF",
     "AtLeast",
@@ -67,18 +69,6 @@ def _add(out: dict[int, Fraction], e: int, c: Fraction) -> None:
         out.pop(e, None)
 
 
-def _pack(ints: list[tuple[int, int]], span: int, width: int) -> int:
-    """sum n * 2^(8 * width * e) over (e, n) in ints, |n| < 2^(8 * width - 1):
-    every slot is biased to non-negative bytes, the slots are joined, and
-    the joined bias is taken off again."""
-    half = 1 << (8 * width - 1)
-    bias = half.to_bytes(width, "little")
-    slots = [bias] * span
-    for e, n in ints:
-        slots[e] = (n + half).to_bytes(width, "little")
-    return int.from_bytes(b"".join(slots), "little") - int.from_bytes(bias * span, "little")
-
-
 def _kronecker(ta: list[tuple[int, Fraction]], tb: list[tuple[int, Fraction]],
                cap: int | float) -> list[tuple[int, Fraction]] | None:
     """The nonzero terms of ta*tb below cap from one packed integer product;
@@ -100,13 +90,7 @@ def _kronecker(ta: list[tuple[int, Fraction]], tb: list[tuple[int, Fraction]],
     # the slot bound of _xmul's docstring, in whole bytes
     width = (bits_a + bits_b + min(len(ta), len(tb)).bit_length() + 2 + 7) // 8
     product = _pack(na, span_a, width) * _pack(nb, span_b, width)
-    # biasing every slot again turns the balanced signed digits into bytes
-    slots = min(span_a + span_b - 1, cap)
-    half = 1 << (8 * width - 1)
-    bias = int.from_bytes(half.to_bytes(width, "little") * slots, "little")
-    data = ((product + bias) & ((1 << 8 * width * slots) - 1)).to_bytes(width * slots, "little")
-    coeffs = (int.from_bytes(data[i:i + width], "little") - half
-              for i in range(0, len(data), width))
+    coeffs = _unpack(product, min(span_a + span_b - 1, cap), width)
     scale = da * db
     return [(e, Fraction(c, scale)) for e, c in enumerate(coeffs) if c]
 

@@ -29,10 +29,8 @@ __all__ = [
 ]
 
 
-# Elimination time grows steeply with the (d+1)(d+2)/2 columns. On a
-# six-term rational jet, degree 16 took about 18 s at the Veronese edge and
-# 25 s at target 256 (2-vCPU Xeon VM); past the rank, more contact rows
-# add little.
+# The (d+1)(d+2)/2 columns bound the system: on a dense 64-term jet, degree 16
+# at target 152 (151 x 152) takes 4.5 s, 2 s eliminating (2-vCPU Xeon VM).
 MAX_WITNESS_DEGREE = 16
 MAX_WITNESS_TARGET = MAX_IMPLICIT_PRECISION
 

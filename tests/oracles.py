@@ -3,16 +3,17 @@
 These deliberately avoid the library's own code paths: perfect squares are
 tested by integer square root, numeric surd ordering goes through mpmath, local intersection numbers through sympy resultants, the
 determinant check below is plain cofactor expansion, row reduction is
-plain Fraction Gauss-Jordan, implicit branches are solved one coefficient
-at a time, and series products are the term-by-term double loop that the
-library's packed-integer `_xmul` replaced. Floating point and computer
-algebra live here, never in the library.
+plain Fraction Gauss-Jordan and the fraction-free Bareiss elimination that
+the library's modular elimination replaced, implicit branches are solved
+one coefficient at a time, and series products are the term-by-term double
+loop that the library's packed-integer `_xmul` replaced. Floating point and
+computer algebra live here, never in the library.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import mpmath
 import sympy
@@ -82,7 +83,7 @@ def cofactor_determinant(matrix: list[list[Fraction]]) -> Fraction:
 def rational_rref(entries: list[list[Fraction]], cols: int) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form and pivot columns by Gauss-Jordan on Fraction
     entries: normalize each pivot row, then clear its column in every other
-    row. The library's fraction-free elimination must agree entry for entry."""
+    row. The library's modular elimination must agree entry for entry."""
     m = [[Fraction(v) for v in row] for row in entries]
     pivots: list[int] = []
     r = 0
@@ -102,6 +103,44 @@ def rational_rref(entries: list[list[Fraction]], cols: int) -> tuple[list[list[F
         if r == len(m):
             break
     return m, pivots
+
+
+def bareiss_rref(entries: list[list[Fraction]], cols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form and pivot columns by fraction-free
+    Gauss-Jordan (Bareiss, Math. Comp. 22, 1968): each row is scaled to
+    integers by the lcm of its denominators, and every update
+    (p*a - f*b) // prev divides exactly by the previous pivot, so entries
+    stay minors of the scaled matrix. Only the r pivot rows go back to
+    Fraction, each divided by its own pivot entry."""
+    m = []
+    for row in entries:
+        scale = lcm(*(Fraction(v).denominator for v in row))
+        m.append([int(Fraction(v) * scale) for v in row])
+    pivots: list[int] = []
+    prev = 1
+    for c in range(cols):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        top = m[r]
+        p = top[c]
+        for i, row in enumerate(m):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                m[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+            elif p != prev:
+                m[i] = [p * a // prev for a in row]
+        prev = p
+        pivots.append(c)
+        if len(pivots) == len(m):
+            break
+    reduced = [[Fraction(a, row[c]) for a in row] for row, c in zip(m, pivots)]
+    reduced += [[Fraction(0)] * cols for _ in range(len(m) - len(pivots))]
+    return reduced, pivots
 
 
 def schoolbook_xmul(a: dict[int, Fraction], b: dict[int, Fraction], cap: int | float,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import io
 import json
+import random
 import signal
 import subprocess
 import sys
@@ -329,6 +330,12 @@ def test_nagata_requires_source_for_large_counts(capsys):
     assert code == 1 and "usage error" in err
 
 
+def test_nagata_point_count_past_the_printable_digits(capsys):
+    # n * r has 4301 digits, one more than str() prints
+    err = assert_usage_error(capsys, "nagata", "--n", "9" * 4300, "--r", "2")
+    assert err == "usage error: no bundled constant for more than 9 points; pass --eps or --conjecture\n"
+
+
 # ------------------------------------------------------------------- misc
 
 def test_unknown_command_is_usage_error(capsys):
@@ -353,6 +360,14 @@ def test_library_value_errors_are_usage_errors(capsys, argv):
     assert "4300 digits" in assert_usage_error(capsys, *argv)
 
 
+def test_power_degree_past_the_printable_digits(capsys):
+    # the exponent has 4300 digits, the total degree 2 * k one more
+    curve = "(x^2)^" + "9" * 4300
+    err = assert_usage_error(capsys, "cluster", "--curve", curve, "--n", "2")
+    assert err.startswith("usage error: total degree at least 999") and "the limit 64" in err
+    assert "set_int_max_str_digits" not in err
+
+
 def test_unreadable_curve_file_is_usage_error(tmp_path, capsys):
     not_utf8 = tmp_path / "curve.txt"
     not_utf8.write_bytes(b"\xff\xfe x\n")
@@ -371,7 +386,10 @@ def test_unreadable_curve_file_is_usage_error(tmp_path, capsys):
     ["nagata", "--n", "9", "--eps", "9" * 4300, "--format", "json"],
     # the echoed preset branch has the exponent 8 * b
     ["witness", "n8", "--b", "9" * 4300],
-], ids=["witness", "nagata", "nagata-json", "witness-n8"])
+    # basis coefficients are powers of the 4300-digit one, up to the sixth
+    ["witness", "--branch", f"y={'9' * 4300}*x", "--degree", "6", "--mult", "0",
+     "--target", "32"],
+], ids=["witness", "nagata", "nagata-json", "witness-n8", "witness-degree-6"])
 def test_unprintable_result_is_usage_error(capsys, argv):
     err = assert_usage_error(capsys, *argv)
     assert err == ("usage error: a result has a number longer than the 4300 digits "
@@ -467,6 +485,28 @@ def test_dense_implicit_branch_at_the_precision_limit_is_fast(capsys):
 # the whole polynomial branch into a degree-8 curve expands g^8 to degree 512
 _DENSE_JET = "y=" + "".join(f"{'-' if k % 2 else '+'}{k + 1}/{k % 6 + 1}*x^{k}"
                             for k in range(1, 65))
+
+
+def _random_jet(rng: random.Random) -> str:
+    """64 terms, each an integer in -9..9 (0 read as 1) over one in 1..9."""
+    terms = []
+    for k in range(1, 65):
+        c = rng.randint(-9, 9) or 1
+        terms.append(f"{'-' if c < 0 else '+'}{abs(c)}/{rng.randint(1, 9)}*x^{k}")
+    return "y=" + "".join(terms)
+
+
+_RANDOM_JET = _random_jet(random.Random(0))
+
+
+def test_dense_witness_system_at_degree_12_is_fast(capsys):
+    # 89 x 90 with kernel 1 at the Veronese edge: Bareiss elimination took
+    # 15.7 s on a 2-vCPU Xeon VM, elimination mod p and lifting 0.7-0.9 s
+    with time_limit(4.0):
+        code, out, _ = run(capsys, "witness", f"--branch={_RANDOM_JET}", "--degree=12",
+                           "--mult=1", "--target=90")
+    assert code == 0
+    assert "exists\ttrue\n" in out and "kernel_dim\t1\n" in out
 
 
 def test_witness_recheck_on_dense_jet_stays_at_target_order(capsys):
@@ -580,6 +620,20 @@ def test_module_entry_point_runs():
     proc = run_python("-m", "seshadri", "table")
     assert proc.returncode == 0
     assert "48/17" in proc.stdout
+
+
+def test_closed_stdout_keeps_the_verdict_without_a_traceback():
+    # the reading end is closed before the child writes its report
+    repo = Path(__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "seshadri", "witness", "n8", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(repo / "src")}, cwd=repo)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_library_has_no_assert():

@@ -9,18 +9,25 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
+from seshadri import exact
 from seshadri.exact import (
     MAX_RADICAND,
     RatMatrix,
     SurdValue,
+    _eliminate,
+    _integer_row,
+    _pack,
+    _primes,
+    _unpack,
     square_free_split,
     surd_compare,
 )
+from seshadri.witness import n8_certificate
 
 from seshadri.parsing import parse_branch
 from seshadri.witness import WitnessProblem, solve_witness
 
-from oracles import compare_numeric, rational_rref
+from oracles import bareiss_rref, compare_numeric, rational_rref
 
 rationals = st.fractions(
     min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=10**4
@@ -185,12 +192,12 @@ small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 
 
 @st.composite
-def rank_deficient_matrices(draw):
-    """0-8 rows and 1-8 columns; besides fresh rows, a row may be zero, a
-    copy of an earlier row or a combination of two earlier rows."""
-    cols = draw(st.integers(min_value=1, max_value=8))
+def rank_deficient_matrices(draw, max_rows=8, max_cols=8, entries=small_rationals):
+    """0-max_rows rows and 1-max_cols columns; besides fresh rows, a row may
+    be zero, a copy of an earlier row or a combination of two earlier rows."""
+    cols = draw(st.integers(min_value=1, max_value=max_cols))
     rows: list[list[Fraction]] = []
-    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+    for _ in range(draw(st.integers(min_value=0, max_value=max_rows))):
         kind = draw(st.sampled_from(["fresh", "zero", "repeat", "sum"]))
         if kind == "zero":
             rows.append([Fraction(0)] * cols)
@@ -201,7 +208,7 @@ def rank_deficient_matrices(draw):
             k = draw(small_rationals)
             rows.append([u + k * v for u, v in zip(a, b)])
         else:
-            rows.append(draw(st.lists(small_rationals, min_size=cols, max_size=cols)))
+            rows.append(draw(st.lists(entries, min_size=cols, max_size=cols)))
     return rows, cols
 
 
@@ -246,3 +253,141 @@ def test_rref_matches_oracle_on_degree8_witness_system(monkeypatch):
     (system,) = systems
     assert (system.rows, system.cols) == (41, 42)
     assert system.rref() == rational_rref(system.entries, system.cols)
+
+
+# entries far past the primes below 2^30 that the elimination works with
+large_rationals = st.builds(Fraction, st.integers(-2**200, 2**200), st.integers(1, 2**100))
+
+
+@settings(deadline=None)
+@given(st.one_of(rank_deficient_matrices(max_rows=12, max_cols=4),
+                 rank_deficient_matrices(entries=large_rationals)))
+@example(([[Fraction(0)] * 3] * 5, 3))
+@example(([], 2))
+@example(([[Fraction(2**300 + 1, 3**50)], [Fraction(-1, 2**90)]], 1))
+def test_rref_matches_both_oracles(matrix):
+    entries, cols = matrix
+    got = RatMatrix(entries, cols=cols).rref()
+    assert got == rational_rref(entries, cols)
+    assert got == bareiss_rref(entries, cols)
+
+
+def first_primes(seed: int, count: int) -> list[int]:
+    primes = []
+    for p in _primes(seed):
+        primes.append(p)
+        if len(primes) == count:
+            return primes
+
+
+P = sympy.prevprime(2**30)
+
+
+def test_primes_start_at_the_largest_below_2_to_the_30_then_follow_the_seed():
+    for seed in (0, 1, -7, 2**100):
+        primes = first_primes(seed, 6)
+        assert primes[0] == P
+        assert all(2**29 < p < 2**30 and sympy.isprime(p) for p in primes)
+        assert first_primes(seed, 6) == primes
+    assert first_primes(0, 3)[1:] != first_primes(1, 3)[1:]
+
+
+@pytest.fixture
+def primes_used(monkeypatch):
+    """The primes rref draws, in order."""
+    used: list[int] = []
+    draw = exact._primes
+
+    def recording(seed):
+        for p in draw(seed):
+            used.append(p)
+            yield p
+
+    monkeypatch.setattr(exact, "_primes", recording)
+    return used
+
+
+def test_unlucky_prime_with_other_pivots_gives_the_rational_rref(primes_used):
+    # mod P column 1 repeats column 0, so P picks columns 0 and 2 as pivots
+    # where Q picks 0 and 1; the rank is 2 either way
+    entries = [[Fraction(1), Fraction(1), Fraction(0), Fraction(2)],
+               [Fraction(1), Fraction(1 + P), Fraction(1), Fraction(0)]]
+    assert _eliminate([_integer_row(row) for row in entries], P, 4)[0] == [0, 2]
+    got = RatMatrix(entries).rref()
+    assert got[1] == [0, 1]
+    assert got == rational_rref(entries, 4) == bareiss_rref(entries, 4)
+    assert primes_used[0] == P and len(primes_used) == 2
+
+
+@pytest.mark.parametrize("entries", [
+    [[1, 1], [1, 1 + P]],  # rank 1 mod P, 2 over Q
+    [[P, 1], [0, P]],  # the lifted vector solves row 0 but not row 1
+    [[1, 1, 1], [1, 1 + P, 1 + 2 * P]],  # kernel 1 over Q, 2 mod P
+])
+def test_rank_drop_mod_p_moves_to_the_next_prime(entries, primes_used):
+    rows = [[Fraction(v) for v in row] for row in entries]
+    cols = len(rows[0])
+    m = RatMatrix(rows)
+    assert m.rref() == rational_rref(rows, cols) == bareiss_rref(rows, cols)
+    assert primes_used[0] == P and len(primes_used) == 2
+    for v in m.kernel():
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+
+
+def test_a_run_of_the_largest_primes_costs_one_extra_prime(primes_used):
+    # the determinant is divisible by the 20 largest primes below 2^30; after
+    # the first, primes are hashed from the matrix, not taken in order
+    run = [P]
+    while len(run) < 20:
+        run.append(sympy.prevprime(run[-1]))
+    det = 1
+    for p in run:
+        det *= p
+    rows = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1 + det)]]
+    assert RatMatrix(rows).rref() == rational_rref(rows, 2)
+    assert len(primes_used) == 2 and primes_used[1] not in run
+
+
+def test_every_unlucky_prime_is_passed_over(monkeypatch):
+    primes = [P, sympy.prevprime(P), sympy.prevprime(sympy.prevprime(P))]
+    used: list[int] = []
+
+    def fixed_primes(seed):
+        for p in primes:
+            used.append(p)
+            yield p
+
+    monkeypatch.setattr(exact, "_primes", fixed_primes)
+    both = primes[0] * primes[1]
+    # rank 1 mod each of the first two primes, 2 over Q
+    square = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1 + both)]]
+    # the first two primes pick columns 0 and 2 as pivots, Q picks 0 and 1
+    wide = [[Fraction(1), Fraction(1), Fraction(0)], [Fraction(1), Fraction(1 + both), Fraction(1)]]
+    for rows, cols in ((square, 2), (wide, 3)):
+        used.clear()
+        assert RatMatrix(rows).rref() == rational_rref(rows, cols) == bareiss_rref(rows, cols)
+        assert used == primes
+
+
+def test_column_contents_are_divided_out_and_restored():
+    # column j of a is c_j times a small column: the reduced rows carry c_j / c_pivot
+    big = 10**400 + 1
+    entries = [[Fraction(big), Fraction(3), Fraction(big**2)], [Fraction(2 * big), Fraction(5), Fraction(7 * big**2)]]
+    assert RatMatrix(entries).rref() == rational_rref(entries, 3) == bareiss_rref(entries, 3)
+
+
+def test_full_column_rank_mod_p_needs_no_lifting(monkeypatch):
+    def no_lift(*args):
+        raise AssertionError("rank mod p alone settles a zero kernel")
+
+    monkeypatch.setattr(exact, "_lift", no_lift)
+    tall = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4, 5)], [Fraction(6), Fraction(7)]]
+    assert RatMatrix(tall).rref() == rational_rref(tall, 2)
+    assert RatMatrix(tall).kernel() == []
+    # the degree-8 certificate's 7 x 7 system has kernel 0
+    assert not n8_certificate(1).exists
+
+
+@given(st.lists(st.integers(-2**40, 2**40), max_size=20), st.integers(6, 9))
+def test_unpack_inverts_pack(values, width):
+    assert _unpack(_pack(enumerate(values), len(values), width), len(values), width) == values
