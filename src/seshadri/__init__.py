@@ -33,7 +33,6 @@ from .covering import (
     SeshadriBounds,
     nagata_conjectural,
     nagata_upper,
-    numeric_inequality_check,
     steffens_bounds,
 )
 from .exact import (
@@ -80,7 +79,6 @@ __all__ = [
     "nagata_conjectural",
     "nagata_upper",
     "normalize_branch",
-    "numeric_inequality_check",
     "order_meets",
     "pullback_mult",
     "solve_witness",

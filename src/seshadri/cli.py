@@ -233,8 +233,6 @@ def cmd_bounds(args) -> tuple[Report, int]:
 
 
 def cmd_cluster(args) -> tuple[Report, int]:
-    if args.precision < 1:
-        raise UsageError("--precision must be at least 1")
     text = args.curve
     if args.curve_file is not None:
         try:

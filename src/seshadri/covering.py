@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Sequence
 
 from .exact import SurdValue, surd_compare
 
@@ -19,7 +18,6 @@ __all__ = [
     "CoveringSpec",
     "SeshadriBounds",
     "steffens_bounds",
-    "numeric_inequality_check",
     "nagata_upper",
     "nagata_conjectural",
     "KnownConstant",
@@ -74,24 +72,6 @@ def steffens_bounds(spec: CoveringSpec, r: int) -> SeshadriBounds:
     lower = Fraction(isqrt(s), r)
     upper = SurdValue(Fraction(1, r), s)  # sqrt(n*L^2/r) = sqrt(r*n*L^2)/r
     return SeshadriBounds(lower, upper)
-
-
-def numeric_inequality_check(mults: Sequence[int], index: int) -> bool:
-    """Whether r*(sum of squares - mults[index]) >= M*(M-1), M = sum(mults).
-
-    Holds for every vector of non-negative integers; it is wired up as an
-    executable check so the property suite can hammer it with random data.
-    The index is 0-based.
-    """
-    if not mults:
-        raise ValueError("empty multiplicity vector")
-    if any(m < 0 for m in mults):
-        raise ValueError("multiplicities must be non-negative")
-    if not 0 <= index < len(mults):
-        raise ValueError("index out of range")
-    r = len(mults)
-    total = sum(mults)
-    return r * (sum(m * m for m in mults) - mults[index]) >= total * (total - 1)
 
 
 def nagata_upper(spec: CoveringSpec, r: int, eps_downstairs: SurdValue | Fraction | int) -> SurdValue:

@@ -119,19 +119,12 @@ class SurdValue:
         return f"SurdValue({self.coeff!r}, {self.radicand})"
 
 
-def _as_surd(value: "SurdValue | Fraction | int") -> SurdValue:
-    if isinstance(value, SurdValue):
-        return value
-    return SurdValue(Fraction(value), 1)
-
-
-def surd_compare(a: "SurdValue | Fraction | int", b: "SurdValue | Fraction | int") -> int:
+def surd_compare(a: SurdValue, b: SurdValue) -> int:
     """Exact ordering of two surd values: -1, 0 or 1.
 
     Signs first, then squares with sign-aware orientation. Never touches
     floating point.
     """
-    a, b = _as_surd(a), _as_surd(b)
     sa, sb = a.sign(), b.sign()
     if sa != sb:
         return -1 if sa < sb else 1
@@ -265,7 +258,7 @@ class RatMatrix:
     """
 
     def __init__(self, entries: Iterable[Iterable[Fraction | int]], cols: int | None = None):
-        rows = [[Fraction(v) for v in row] for row in entries]
+        rows = [[v if isinstance(v, Fraction) else Fraction(v) for v in row] for row in entries]
         if rows:
             width = len(rows[0])
             if any(len(row) != width for row in rows):

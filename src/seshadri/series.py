@@ -169,25 +169,12 @@ class _Series:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, key) -> Fraction:
-        p, q = self._pair(key)
-        if p + q >= self.precision:
-            raise PrecisionError(f"coefficient of {_monomial_str(p, q) or '1'} "
-                                 f"is beyond precision {self.precision}")
-        return self.coeffs.get(key, Fraction(0))
-
     def __add__(self, other):
         prec = min(self.precision, other.precision)
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
             out[key] = out.get(key, Fraction(0)) + c
         return type(self)(out, prec)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return self._normal({k: -c for k, c in self.coeffs.items()}, self.precision)
 
     def __mul__(self, other):
         if isinstance(other, type(self)):
@@ -201,6 +188,10 @@ class _Series:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("series powers need a non-negative integer exponent")
+        if len(self.coeffs) == 1:  # (c*m)^k = c^k * m^k, one term
+            ((key, c),) = self.coeffs.items()
+            key = tuple(k * e for e in key) if isinstance(key, tuple) else k * key
+            return type(self)({key: c ** k}, self.precision)
         result = type(self)({self._UNIT: 1}, self.precision)
         for _ in range(k):
             result = result * self
@@ -210,9 +201,6 @@ class _Series:
         if type(other) is not type(self):
             return NotImplemented
         return self.coeffs == other.coeffs and self.precision == other.precision
-
-    def __hash__(self) -> int:
-        return hash((frozenset(self.coeffs.items()), self.precision))
 
     def __str__(self) -> str:
         terms = []

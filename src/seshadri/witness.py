@@ -128,10 +128,11 @@ def solve_witness(problem: WitnessProblem) -> WitnessVerdict:
     powers = [XSeries({0: 1}, problem.target)]
     for _ in range(max((q for _, q in high), default=0)):
         powers.append(powers[-1] * jet)
-    rows = [[powers[q].coeffs.get(e - p, Fraction(0)) for p, q in high]
+    zero = Fraction(0)
+    rows = [[powers[q].coeffs.get(e - p, zero) for p, q in high]
             for e in range(problem.mult, problem.target)]
     kernel = RatMatrix(rows, cols=len(high)).kernel()
-    verdict = WitnessVerdict(problem, tuple((Fraction(0),) * low + tuple(vec) for vec in kernel))
+    verdict = WitnessVerdict(problem, tuple((zero,) * low + tuple(vec) for vec in kernel))
     _recheck(verdict)
     return verdict
 

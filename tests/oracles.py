@@ -6,14 +6,18 @@ determinant check below is plain cofactor expansion, row reduction is
 plain Fraction Gauss-Jordan and the fraction-free Bareiss elimination that
 the library's modular elimination replaced, implicit branches are solved
 one coefficient at a time, and series products are the term-by-term double
-loop that the library's packed-integer `_xmul` replaced. Floating point and
-computer algebra live here, never in the library.
+loop that the library's packed-integer `_xmul` replaced. The
+squared-multiplicity inequality r*(sum of squares - m_i) >= M*(M-1) lives
+here too: no library path needs it, and acceptance criterion 7 checks it on
+random vectors. Floating point and computer algebra live here, never in
+the library.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt, lcm
+from typing import Sequence
 
 import mpmath
 import sympy
@@ -25,6 +29,24 @@ from seshadri.series import BiSeries, XSeries
 def is_perfect_square(n: int) -> bool:
     """Whether n >= 0 is the square of an integer."""
     return isqrt(n) ** 2 == n
+
+
+def numeric_inequality_check(mults: Sequence[int], index: int) -> bool:
+    """Whether r*(sum of squares - mults[index]) >= M*(M-1), M = sum(mults).
+
+    Holds for every vector of non-negative integers; it is wired up as an
+    executable check so the property suite can hammer it with random data.
+    The index is 0-based.
+    """
+    if not mults:
+        raise ValueError("empty multiplicity vector")
+    if any(m < 0 for m in mults):
+        raise ValueError("multiplicities must be non-negative")
+    if not 0 <= index < len(mults):
+        raise ValueError("index out of range")
+    r = len(mults)
+    total = sum(mults)
+    return r * (sum(m * m for m in mults) - mults[index]) >= total * (total - 1)
 
 
 def surd_sign_numeric(coeff: Fraction, radicand: int, digits: int = 60) -> "mpmath.mpf":

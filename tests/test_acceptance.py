@@ -18,7 +18,6 @@ from seshadri.conditions import candidate_search, constants_table, discard_searc
 from seshadri.covering import (
     KNOWN_PLANE_CONSTANTS,
     CoveringSpec,
-    numeric_inequality_check,
     steffens_bounds,
 )
 from seshadri.exact import SurdValue
@@ -26,7 +25,7 @@ from seshadri.intersection import local_intersection
 from seshadri.series import AtLeast, BiSeries, XSeries
 from seshadri.witness import n8_certificate
 
-from oracles import is_perfect_square, resultant_intersection_order
+from oracles import is_perfect_square, numeric_inequality_check, resultant_intersection_order
 
 
 def _report(number: int, description: str, ok: bool) -> None:

@@ -345,6 +345,8 @@ def test_unknown_command_is_usage_error(capsys):
 
 # past the 4300 digits int() and str() convert by default
 _LONG = "7" * 5000
+_LITERAL_MESSAGE = ("usage error: a number in the input is longer than the "
+                    f"{sys.get_int_max_str_digits()} digits Python converts\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -357,7 +359,27 @@ _LONG = "7" * 5000
      "--target", "4"],
 ])
 def test_library_value_errors_are_usage_errors(capsys, argv):
-    assert "4300 digits" in assert_usage_error(capsys, *argv)
+    err = assert_usage_error(capsys, *argv)
+    assert "4300 digits" in err and "set_int_max_str_digits" not in err
+
+
+# one literal past the digit limit in each place the grammar reads a number
+@pytest.mark.parametrize("argv", [
+    ["cluster", f"--curve={_LONG}*x+y", "--n=2"],
+    ["cluster", f"--curve=x^{_LONG}", "--n=2"],
+    ["cluster", f"--curve=x+1/{_LONG}", "--n=2"],
+    ["cluster", f"--curve={_LONG} 0 1", "--n=2"],
+    ["cluster", f"--curve=0 {_LONG} 1", "--n=2"],
+    ["cluster", f"--curve=1 0 -{_LONG}", "--n=2"],
+    ["cluster", f"--curve=1 0 1/{_LONG}", "--n=2"],
+    ["cluster", "--curve=y", f"--branch=y+{_LONG}*x^2", "--n=2"],
+    ["witness", f"--branch=y={_LONG}*x", "--degree=2", "--mult=0", "--target=3"],
+    ["nagata", "--n=2", f"--eps={_LONG}"],
+    ["nagata", "--n=2", f"--eps=1/{_LONG}"],
+    ["nagata", "--n=2", f"--eps=sqrt({_LONG})"],
+])
+def test_input_literal_past_the_digit_limit(capsys, argv):
+    assert assert_usage_error(capsys, *argv) == _LITERAL_MESSAGE
 
 
 def test_power_degree_past_the_printable_digits(capsys):
@@ -366,6 +388,19 @@ def test_power_degree_past_the_printable_digits(capsys):
     err = assert_usage_error(capsys, "cluster", "--curve", curve, "--n", "2")
     assert err.startswith("usage error: total degree at least 999") and "the limit 64" in err
     assert "set_int_max_str_digits" not in err
+
+
+def test_monomial_line_degree_past_the_printable_digits(capsys):
+    # two exponents of 4300 digits, whose sum has one more
+    curve = "9" * 4300 + " " + "9" * 4300 + " 1"
+    err = assert_usage_error(capsys, "cluster", "--curve", curve, "--n", "2")
+    assert err.startswith("usage error: total degree at least 999") and "the limit 64" in err
+    assert "set_int_max_str_digits" not in err
+
+
+def test_zero_denominator_in_a_monomial_line_is_usage_error(capsys):
+    err = assert_usage_error(capsys, "cluster", "--curve=1 0 1/0", "--n=2")
+    assert err == "usage error: zero denominator in '1 0 1/0'\n"
 
 
 def test_unreadable_curve_file_is_usage_error(tmp_path, capsys):
@@ -447,6 +482,16 @@ def test_witness_target_limit_is_the_same_for_both_branch_forms(capsys):
     assert code == 0 and f"# input.precision\t{MAX_WITNESS_TARGET}\n" in out
 
 
+@pytest.mark.parametrize("precision", [0, -5, MAX_IMPLICIT_PRECISION + 1])
+@pytest.mark.parametrize("branch", ["y=x", "y-x"], ids=["explicit", "implicit"])
+@pytest.mark.parametrize("command", [["cluster", "--curve=y", "--n=2"],
+                                     ["witness", "--degree=2", "--mult=0", "--target=3"]],
+                         ids=["cluster", "witness"])
+def test_precision_range_is_the_same_for_both_branch_forms(capsys, command, branch, precision):
+    err = assert_usage_error(capsys, *command, f"--branch={branch}", f"--precision={precision}")
+    assert err == f"usage error: precision must be between 1 and {MAX_IMPLICIT_PRECISION}\n"
+
+
 def test_implicit_branch_precision_limit(capsys):
     code, out, _ = run(capsys, "cluster", "--curve=y", "--branch=y-x^2", "--n=2",
                        f"--precision={MAX_IMPLICIT_PRECISION}")
@@ -517,6 +562,27 @@ def test_witness_recheck_on_dense_jet_stays_at_target_order(capsys):
     assert "kernel_dim\t25\n" in out
 
 
+# ------------------------------------------------------------- parse work
+
+# Expressions of a few KB whose expansion takes 6 s to more than 8 minutes
+# without a work limit: each ends within 2 s, in a report or in the limit.
+@pytest.mark.parametrize("curve, accepted", [
+    (f"({'9' * 1000}*x+{'7' * 1000}*y+{'3' * 1000})^64", False),
+    (f"({'9' * 4300}*x+{'7' * 4300}*y+{'3' * 4300})^64", False),
+    ("+".join(["(1+x+y)^64"] * 16), False),
+    ("+".join(f"x^{t - q}*y^{q}" for t in range(65) for q in range(t + 1)), True),
+], ids=["1000-digit-power", "4300-digit-power", "16-powers", "2145-monomials"])
+def test_parse_work_is_bounded(capsys, curve, accepted):
+    with time_limit(2.0):
+        code, out, err = run(capsys, "cluster", f"--curve={curve}", "--n=2")
+    if accepted:
+        assert code == 0 and "mults\t0,0" in out
+    else:
+        assert (code, out) == (1, "") and err.count("\n") == 1
+        assert err.startswith("usage error: expanding the expression takes more than the parse "
+                              "work limit") and '"p q coeff"' in err
+
+
 # -------------------------------------------------------------------- fuzz
 
 def _poly(max_q: int) -> st.SearchStrategy[str]:
@@ -581,6 +647,7 @@ def test_fuzz_main_exit_codes(argv):
     assert code in (0, 1, 2, 3)
     if code == 1:
         assert out.getvalue() == "" and err.getvalue().startswith("usage error: ")
+        assert "set_int_max_str_digits" not in err.getvalue()
     report = out.getvalue()
     if "--format=json" not in argv:  # TSV: one record per line
         assert len(report.splitlines()) == report.count("\n")

@@ -1,4 +1,4 @@
-"""Covering data, multi-point bounds, and the numeric inequality."""
+"""Covering data, multi-point bounds, and the numeric inequality oracle."""
 
 from __future__ import annotations
 
@@ -13,12 +13,11 @@ from seshadri.covering import (
     SeshadriBounds,
     nagata_conjectural,
     nagata_upper,
-    numeric_inequality_check,
     steffens_bounds,
 )
 from seshadri.exact import SurdValue, surd_compare
 
-from oracles import is_perfect_square
+from oracles import is_perfect_square, numeric_inequality_check
 
 
 def test_covering_spec_validation():

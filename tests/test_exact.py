@@ -155,6 +155,14 @@ def test_empty_matrix_needs_cols():
     assert len(m.kernel()) == 4
 
 
+def test_entries_are_fractions():
+    row = [1, Fraction(1, 2)]
+    m = RatMatrix([row, [0, Fraction(3)]])
+    row[0] = 5
+    assert m.entries == [[1, Fraction(1, 2)], [0, 3]]
+    assert all(type(v) is Fraction for r in m.entries for v in r)
+
+
 def test_ragged_rows_rejected():
     with pytest.raises(ValueError):
         RatMatrix([[1, 2], [3]])

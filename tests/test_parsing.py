@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from seshadri.exact import SurdValue
 from seshadri.parsing import (
+    MAX_PARSE_WORK,
     ParseError,
+    _Parser,
+    _power_work,
+    _product_work,
+    _tokenize,
     parse_branch,
     parse_curve,
     parse_poly_x,
@@ -76,6 +82,45 @@ def test_parse_degree_limit():
         parse_terms("30 35 1\n")
 
 
+def _work(text: str) -> int:
+    parser = _Parser(_tokenize(text), text)
+    parser.expr()
+    return parser.work
+
+
+def test_parse_work_limit():
+    assert _power_work(parse_poly_xy("1+x+y"), 64) <= MAX_PARSE_WORK
+    # one product per pair of factors, each power charged in full before it runs
+    assert _work("x*y*x") == 2 * _product_work(1, 2, 1, 2)
+    assert _work("x^64") == _product_work(1, 64, 1, 64)
+    # 1 * (1+x), then (1+x) * (1+x), coefficients bounded by bits(2 terms) + 2 bits
+    assert _work("(1+x)^2") == _product_work(1, 0, 2, 2) + _product_work(2, 4, 2, 2)
+    # a power is refused before any of its products runs (they take about 1 s)
+    assert _power_work(parse_poly_xy("1/7+2/3*x+5/11*y"), 64) > MAX_PARSE_WORK
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match='parse work limit .*"p q coeff" have no such limit'):
+        parse_poly_xy("(1/7+2/3*x+5/11*y)^64")
+    assert time.perf_counter() - start < 0.2
+    # monomial lines of the same degree with 300-digit coefficients are not charged
+    lines = "\n".join(f"{t - q} {q} {'7' * 300}/{'3' * 300}"
+                      for t in range(65) for q in range(t + 1))
+    assert len(parse_terms(lines).coeffs) == 65 * 66 // 2
+
+
+# The largest accepted members of the expression families that ran the
+# longest per unit of charged work: sums of products of a short factor and
+# a power, chains of products, and powers with 1000-digit coefficients.
+@pytest.mark.parametrize("text", [
+    "+".join(["y+(x+y)^2*(1+x-y)^30"] * 9),
+    "*".join(["1"] * (MAX_PARSE_WORK // _product_work(1, 2, 1, 2))),
+    f"({'9' * 1000}*x+{'7' * 1000}*y+{'3' * 1000})^16",
+], ids=["sum-of-products", "product-chain", "1000-digit-power"])
+def test_parse_work_limit_keeps_accepted_expressions_fast(text):
+    start = time.perf_counter()
+    assert 0.75 * MAX_PARSE_WORK < _work(text) <= MAX_PARSE_WORK
+    assert time.perf_counter() - start < 2.0
+
+
 def test_parse_poly_x_rejects_y():
     assert parse_poly_x("x^2 + 2x") == XSeries({2: 1, 1: 2})
     with pytest.raises(ParseError):
@@ -97,6 +142,8 @@ def test_parse_terms_rational_coeff_and_merge():
 def test_parse_terms_bad_line():
     with pytest.raises(ParseError):
         parse_terms("1 2\n")
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_terms("1 0 1/0\n")
     with pytest.raises(ParseError):
         parse_terms("   ")
 

@@ -14,7 +14,6 @@ from seshadri.series import (
     INF,
     AtLeast,
     BiSeries,
-    PrecisionError,
     XSeries,
     _kronecker,
     _xmul,
@@ -290,11 +289,12 @@ def test_translate_precision_cut():
 
 # --------------------------------------------------------------- precision
 
-def test_coefficient_beyond_precision_raises():
-    s = XSeries({1: 1}, 4)
-    assert s.coefficient(3) == 0
-    with pytest.raises(PrecisionError):
-        s.coefficient(4)
+def test_power_of_one_term_is_one_term_below_precision():
+    assert BiSeries({(1, 2): Fraction(-3, 2)}) ** 5 == BiSeries({(5, 10): Fraction(-243, 32)})
+    assert XSeries({1: 2}, 5) ** 4 == XSeries({4: 16}, 5)
+    assert (XSeries({1: 2}, 5) ** 5).is_zero
+    assert XSeries({1: 2}, 1) ** 0 == XSeries({0: 1}, 1)
+    assert (XSeries({1: 2}, 0) ** 0).is_zero
 
 
 def test_cross_type_equality_is_not_implemented():
