@@ -110,18 +110,18 @@ def _tsv_scalar(value) -> str:
     return _LINE_BREAK.sub("; ", str(value).replace("\t", " "))
 
 
-def _approx_str(value: SurdValue | Fraction, digits: int = APPROX_DIGITS) -> str:
-    """Decimal rendering with about `digits` significant digits. Display only."""
+def _approx_str(value: SurdValue | Fraction) -> str:
+    """Decimal rendering with APPROX_DIGITS significant digits. Display only."""
     if isinstance(value, Fraction):
         value = SurdValue(value)
     with localcontext() as ctx:
-        ctx.prec = digits + 15
+        ctx.prec = APPROX_DIGITS + 15
         approx = (
             Decimal(value.coeff.numerator)
             / Decimal(value.coeff.denominator)
             * Decimal(value.radicand).sqrt()
         )
-        ctx.prec = digits
+        ctx.prec = APPROX_DIGITS
         approx = +approx
     return str(approx)
 
@@ -331,7 +331,7 @@ def cmd_nagata(args) -> tuple[Report, int]:
     notes: list[str] = []
     if args.eps is not None:
         eps = parse_surd(args.eps)
-        if eps.sign() <= 0:
+        if eps.coeff <= 0:
             raise UsageError("--eps must be positive")
         source = "user-supplied"
     elif args.conjecture and points >= 10:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .exact import SurdValue, surd_compare
+from .exact import SurdValue
 
 __all__ = [
     "CoveringSpec",
@@ -51,13 +51,10 @@ class SeshadriBounds:
     lower: Fraction
     upper: SurdValue
 
-    def __post_init__(self) -> None:
-        if surd_compare(SurdValue(self.lower), self.upper) > 0:
-            raise ValueError("lower bound exceeds upper bound")
-
     @property
     def maximal(self) -> bool:
-        return surd_compare(SurdValue(self.lower), self.upper) == 0
+        # surd normal forms are unique, so equal values are equal records
+        return SurdValue(self.lower) == self.upper
 
 
 def steffens_bounds(spec: CoveringSpec, r: int) -> SeshadriBounds:

@@ -1,11 +1,11 @@
 """Exact scalar arithmetic: rationals, quadratic surds, and rational matrices
 with kernel computation.
 
-Everything in this module is exact. Rationals are arbitrary precision, surd
-comparison works by sign-aware squaring, and linear algebra eliminates mod a
-prime and lifts kernel vectors p-adically, each checked exactly. No floating
-point is used anywhere in the library; decimal renderings for display live
-in the command line layer only.
+Everything in this module is exact. Rationals are arbitrary precision, two
+surds c*sqrt(s) are ordered by the one rational key c*|c|*s, and linear
+algebra eliminates mod a prime and lifts kernel vectors p-adically, each
+checked exactly. No floating point is used anywhere in the library; decimal
+renderings for display live in the command line layer only.
 """
 
 from __future__ import annotations
@@ -82,17 +82,6 @@ class SurdValue:
     def is_rational(self) -> bool:
         return self.radicand == 1
 
-    def sign(self) -> int:
-        if self.coeff > 0:
-            return 1
-        if self.coeff < 0:
-            return -1
-        return 0
-
-    def squared(self) -> Fraction:
-        """The exact rational value of the square (sign discarded)."""
-        return self.coeff * self.coeff * self.radicand
-
     def __neg__(self) -> "SurdValue":
         return SurdValue(-self.coeff, self.radicand)
 
@@ -122,21 +111,12 @@ class SurdValue:
 def surd_compare(a: SurdValue, b: SurdValue) -> int:
     """Exact ordering of two surd values: -1, 0 or 1.
 
-    Signs first, then squares with sign-aware orientation. Never touches
-    floating point.
+    Compares the rationals c*|c|*s for c*sqrt(s): that is x*|x| at
+    x = c*sqrt(s), and x -> x*|x| is strictly increasing.
     """
-    sa, sb = a.sign(), b.sign()
-    if sa != sb:
-        return -1 if sa < sb else 1
-    if sa == 0:
-        return 0
-    qa, qb = a.squared(), b.squared()
-    if qa == qb:
-        return 0
-    less = qa < qb
-    if sa < 0:
-        less = not less
-    return -1 if less else 1
+    ka = a.coeff * abs(a.coeff) * a.radicand
+    kb = b.coeff * abs(b.coeff) * b.radicand
+    return (ka > kb) - (ka < kb)
 
 
 def _pack(ints: Iterable[tuple[int, int]], span: int, width: int) -> int:

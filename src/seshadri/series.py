@@ -134,7 +134,7 @@ def _rows(coeffs: dict[tuple[int, int], Fraction]) -> dict[int, dict[int, Fracti
 
 
 class _Series:
-    """Construction, validation and ring operations shared by XSeries and
+    """Construction, validation, products and powers shared by XSeries and
     BiSeries.
 
     coeffs maps a key to a nonzero Fraction, and every stored key has total
@@ -169,21 +169,10 @@ class _Series:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other):
-        prec = min(self.precision, other.precision)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return type(self)(out, prec)
-
     def __mul__(self, other):
-        if isinstance(other, type(self)):
-            return self._mul(other, min(self.precision, other.precision))
-        factor = Fraction(other)
-        scaled = {k: c * factor for k, c in self.coeffs.items()} if factor else {}
-        return self._normal(scaled, self.precision)
-
-    __rmul__ = __mul__
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._mul(other, min(self.precision, other.precision))
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -297,10 +286,7 @@ class BiSeries(_Series):
         g_ord = min(g.coeffs) if g.coeffs else g.precision
         prec = self.precision
         if g.precision != INF:
-            for (p, q) in self.coeffs:
-                if q >= 1:
-                    extra = (q - 1) * g_ord if q > 1 else 0
-                    prec = min(prec, p + extra + g.precision)
+            prec = min([prec, *(p + (q - 1) * g_ord + g.precision for p, q in self.coeffs if q)])
         rows = _rows(self.coeffs)
         acc: dict[int, Fraction] = {}
         for q in range(max(rows, default=0), -1, -1):

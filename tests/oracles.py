@@ -5,25 +5,28 @@ tested by integer square root, numeric surd ordering goes through mpmath, local 
 determinant check below is plain cofactor expansion, row reduction is
 plain Fraction Gauss-Jordan and the fraction-free Bareiss elimination that
 the library's modular elimination replaced, implicit branches are solved
-one coefficient at a time, and series products are the term-by-term double
-loop that the library's packed-integer `_xmul` replaced. The
-squared-multiplicity inequality r*(sum of squares - m_i) >= M*(M-1) lives
-here too: no library path needs it, and acceptance criterion 7 checks it on
-random vectors. Floating point and computer algebra live here, never in
-the library.
+one coefficient at a time, series products are the term-by-term double
+loop that the library's packed-integer `_xmul` replaced, and series sums
+add coefficient dicts (the library multiplies series but never adds
+them). The squared-multiplicity inequality r*(sum of squares - m_i) >=
+M*(M-1) lives here too: no library path needs it, and acceptance
+criterion 7 checks it on random vectors. Floating point and computer
+algebra live here, never in the library.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Sequence
+from typing import Iterable, Sequence, TypeVar
 
 import mpmath
 import sympy
 
 from seshadri.cluster import BranchJet
 from seshadri.series import BiSeries, XSeries
+
+S = TypeVar("S", BiSeries, XSeries)
 
 
 def is_perfect_square(n: int) -> bool:
@@ -183,6 +186,17 @@ def schoolbook_xmul(a: dict[int, Fraction], b: dict[int, Fraction], cap: int | f
             elif e in out:
                 del out[e]
     return out
+
+
+def series_sum(terms: Iterable[S], start: S) -> S:
+    """start plus every series in terms, like the builtin sum: coefficients
+    added key by key, precision the least of all the operands'."""
+    coeffs, prec = dict(start.coeffs), start.precision
+    for s in terms:
+        prec = min(prec, s.precision)
+        for key, c in s.coeffs.items():
+            coeffs[key] = coeffs.get(key, Fraction(0)) + c
+    return type(start)(coeffs, prec)
 
 
 def undetermined_branch(f: BiSeries, precision: int) -> BranchJet:

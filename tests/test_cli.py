@@ -302,6 +302,13 @@ def test_nagata_user_supplied(capsys):
     assert code == 0
     assert "bound\t48/17" in out
     assert "eps_source\tuser-supplied" in out
+    assert "maximal\tfalse" in out  # 48/17 < sqrt(8)
+
+
+@pytest.mark.parametrize("eps", ["0", "-1/2", "-sqrt(3)", "sqrt(0)"])
+def test_nagata_non_positive_eps(capsys, eps):
+    err = assert_usage_error(capsys, "nagata", "--n", "8", f"--eps={eps}")
+    assert err == "usage error: --eps must be positive\n"
 
 
 def test_nagata_conjecture_square(capsys):
@@ -710,6 +717,34 @@ def test_library_has_no_assert():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, (path.name, lines)
+
+
+def test_library_has_no_floating_point():
+    # the only float is the INF precision sentinel; decimal renders for display in cli.py
+    src = Path(__file__).resolve().parents[1] / "src" / "seshadri"
+    exact_math = {"gcd", "isqrt", "lcm", "comb"}
+    sentinels = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        # ast.walk visits an assignment before the call on its right-hand side
+        sentinel = None
+        for node in ast.walk(tree):
+            where = (path.name, getattr(node, "lineno", None))
+            if isinstance(node, ast.Assign) and ast.unparse(node) == "INF = float('inf')":
+                sentinel = node.value
+                sentinels.append(path.name)
+            elif isinstance(node, ast.Constant):
+                assert not isinstance(node.value, (float, complex)), where
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+                assert node is sentinel, where
+            elif isinstance(node, ast.Import):
+                modules = {alias.name.split(".")[0] for alias in node.names}
+                assert "math" not in modules and "decimal" not in modules, where
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                assert {alias.name for alias in node.names} <= exact_math, where
+            elif isinstance(node, ast.ImportFrom) and node.module == "decimal":
+                assert path.name == "cli.py", where
+    assert sentinels == ["series.py"]
 
 
 def test_acceptance_criteria_pass_without_asserts():

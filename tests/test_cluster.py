@@ -17,7 +17,7 @@ from seshadri.cluster import (
 )
 from seshadri.series import INF, AtLeast, BiSeries, XSeries
 
-from oracles import undetermined_branch
+from oracles import series_sum, undetermined_branch
 
 
 def curve(coeffs, precision=INF):
@@ -186,8 +186,9 @@ def test_coordinate_invariance_under_reparameterization():
         n = rng.randint(2, 5)
         # x -> x + lam*x^2 fixes the origin; substitute it into the curve and the branch
         hx, y, h = BiSeries({(1, 0): 1, (2, 0): lam}), BiSeries({(0, 1): 1}), XSeries({1: 1, 2: lam})
-        moved_series = sum((c * hx**p * y**q for (p, q), c in series.coeffs.items()), BiSeries())
-        moved_g = sum((c * h**e for e, c in g.coeffs.items()), XSeries())
+        moved_series = series_sum((BiSeries({(0, 0): c}) * hx**p * y**q
+                                   for (p, q), c in series.coeffs.items()), BiSeries())
+        moved_g = series_sum((XSeries({0: c}) * h**e for e, c in g.coeffs.items()), XSeries())
         base = cluster_multiplicities(normalize_branch(series, BranchJet(g)), n)
         moved = cluster_multiplicities(normalize_branch(moved_series, BranchJet(moved_g)), n)
         assert base.mults == moved.mults

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from seshadri.covering import (
     KNOWN_PLANE_CONSTANTS,
     CoveringSpec,
-    SeshadriBounds,
     nagata_conjectural,
     nagata_upper,
     steffens_bounds,
@@ -62,11 +61,6 @@ def test_bounds_grid_maximal_iff_perfect_square():
                 assert b.maximal == is_perfect_square(r * n * l2)
                 if b.maximal:
                     assert b.upper == SurdValue(b.lower)
-
-
-def test_bounds_record_rejects_inconsistency():
-    with pytest.raises(ValueError):
-        SeshadriBounds(Fraction(3), SurdValue(Fraction(1), 2))
 
 
 # --------------------------------------------------- numeric inequality

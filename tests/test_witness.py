@@ -12,7 +12,7 @@ from seshadri.cli import main as cli_main
 from seshadri.cluster import BranchJet
 from seshadri.exact import RatMatrix
 from seshadri.intersection import local_intersection
-from seshadri.series import AtLeast, PrecisionError, XSeries, order_meets
+from seshadri.series import AtLeast, BiSeries, PrecisionError, XSeries, order_meets
 from seshadri.witness import (
     MAX_WITNESS_DEGREE,
     MAX_WITNESS_TARGET,
@@ -108,7 +108,7 @@ def test_conic_containing_branch_jet():
     assert verdict.exists and verdict.kernel_dim == 1
     (curve,) = verdict.basis_curves()
     # the kernel is spanned by y - x^2 up to scale
-    scaled = curve * (Fraction(1) / curve.coeffs[(0, 1)])
+    scaled = curve * BiSeries({(0, 0): 1 / curve.coeffs[(0, 1)]})
     assert scaled.coeffs == {(0, 1): Fraction(1), (2, 0): Fraction(-1)}
 
 
