@@ -281,17 +281,19 @@ def parse_branch(text: str, precision: int) -> BranchJet:
 
 
 _SURD_RE = re.compile(
-    r"^\s*(?P<sign>-)?\s*(?:(?P<num>\d+)(?:/(?P<den>\d+))?)?\s*"
-    r"(?:(?(num)\*\s*)?sqrt\(\s*(?P<rad>\d+)\s*\))?\s*$"
+    r"^\s*(?P<sign>-)?\s*(?:(?P<open>\(\s*(?P<inner>-)?\s*)?(?P<num>\d+)(?:/(?P<den>\d+))?"
+    r"\s*(?(open)\)\s*))?(?:(?(num)\*\s*)?sqrt\(\s*(?P<rad>\d+)\s*\))?\s*$"
 )
 
 
 def parse_surd(text: str) -> SurdValue:
-    """Parse "a/b", "sqrt(s)" or "a/b*sqrt(s)", with an optional leading minus."""
+    """Parse "a/b", "sqrt(s)" or "a/b*sqrt(s)", with an optional leading minus,
+    and a coefficient also as "(-a/b)", which is how a SurdValue prints it."""
     m = _SURD_RE.match(text)
     if m is None or (m.group("num") is None and m.group("rad") is None):
         raise ParseError(f"cannot parse {text!r} as a rational or surd")
     num, den, rad = (_int(m.group(name) or "1") for name in ("num", "den", "rad"))
     if den == 0:
         raise ParseError(f"zero denominator in {text!r}")
-    return SurdValue(Fraction(-num if m.group("sign") else num, den), rad)
+    negative = bool(m.group("sign")) != bool(m.group("inner"))
+    return SurdValue(Fraction(-num if negative else num, den), rad)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
-from typing import Mapping
+from math import comb, isqrt, lcm
+from typing import Callable, Mapping
 
 from .exact import _pack, _unpack
 
@@ -69,59 +69,89 @@ def _add(out: dict[int, Fraction], e: int, c: Fraction) -> None:
         out.pop(e, None)
 
 
-def _kronecker(ta: list[tuple[int, Fraction]], tb: list[tuple[int, Fraction]],
-               cap: int | float) -> list[tuple[int, Fraction]] | None:
-    """The nonzero terms of ta*tb below cap from one packed integer product;
-    None for a small product, a sparse operand (whose empty slots would cost
-    more than its terms), or an lcm that far outgrows the denominators it
-    scales (many distinct large ones). Both operands start at exponent 0."""
-    if len(ta) * len(tb) <= 64:
+def _scaled(coeffs: Mapping, capped: bool = True) -> tuple[dict, int] | None:
+    """Integer numerators over the lcm of the denominators, and that lcm; if
+    capped, None when the lcm far outgrows the longest denominator (many
+    distinct long ones: one common denominator costs more than Fractions)."""
+    dens = [c.denominator for c in coeffs.values()]
+    scale = lcm(*dens)
+    if capped and scale.bit_length() > 2 * max(dens, default=1).bit_length() + 64:
         return None
-    operands = []
-    for terms in (ta, tb):
-        span = max(e for e, _ in terms) + 1
-        dens = [c.denominator for _, c in terms]
-        scale = lcm(*dens)
-        if span > 2 * len(terms) or scale.bit_length() > 2 * max(dens).bit_length() + 64:
-            return None
-        ints = [(e, c.numerator * (scale // c.denominator)) for e, c in terms]
-        operands.append((span, scale, ints, max(abs(n) for _, n in ints).bit_length()))
-    (span_a, da, na, bits_a), (span_b, db, nb, bits_b) = operands
-    # the slot bound of _xmul's docstring, in whole bytes
-    width = (bits_a + bits_b + min(len(ta), len(tb)).bit_length() + 2 + 7) // 8
-    product = _pack(na, span_a, width) * _pack(nb, span_b, width)
-    coeffs = _unpack(product, min(span_a + span_b - 1, cap), width)
-    scale = da * db
-    return [(e, Fraction(c, scale)) for e, c in enumerate(coeffs) if c]
+    return {k: c.numerator * (scale // c.denominator) for k, c in coeffs.items()}, scale
 
 
-def _xmul(a: dict[int, Fraction], b: dict[int, Fraction], cap: int | float,
-          out: dict[int, Fraction] | None = None) -> dict[int, Fraction]:
-    """Product of two x-series coefficient dicts, exponents below cap only.
+def _integers(*operands: Mapping) -> tuple[list[tuple[dict, int]], Callable]:
+    """Each operand as numerators over one denominator, and their product:
+    integers over the lcm with _imul, or, if any lcm fails _scaled's rule,
+    every operand's Fractions over 1 with _xmul, which loops over such terms."""
+    scaled = [_scaled(c) for c in operands]
+    if None in scaled:
+        return [(c, 1) for c in operands], _xmul
+    return scaled, _imul
 
-    The only coefficient-product kernel of the package. With `out` given the
-    product is added into it (and zero sums dropped) instead of a new dict.
+
+def _fractions(nums: dict, den: int) -> dict:
+    """One Fraction per nonzero numerator (an int, or a Fraction over 1) over den."""
+    return {k: Fraction(n, den) for k, n in nums.items()}
+
+
+def _imul(a: dict[int, int], b: dict[int, int], cap: int | float,
+          out: dict[int, int]) -> dict[int, int]:
+    """Add a*b below cap into out, for integer coefficient dicts a and b
+    (zero sums dropped): the package's one product kernel.
 
     Kronecker substitution (von zur Gathen & Gerhard, Modern Computer
-    Algebra, 8.4): each operand is scaled to integers A, B by the lcm of its
-    denominators and evaluated at x = 2^k, so one integer product holds
-    every coefficient of A*B in its own k-bit slot. Such a coefficient sums
-    at most min(len a, len b) products, so k >= bits(max|A|) + bits(max|B|)
-    + bits(min length) + 2 keeps each balanced signed slot apart. Products
-    that _kronecker declines take the term-by-term loop.
-    """
-    if out is None:
-        out = {}
+    Algebra, 8.4) packs each operand into one integer, a coefficient per
+    slot of bits(max|a|) + bits(max|b|) + bits(min length) + 2 bits, wide
+    enough for every balanced signed coefficient of a*b. A cost model in
+    30-bit limb products picks it or the term loop: the loop pays overhead
+    and a limb product per pair of terms, the packed product overhead per
+    slot and y*min(x, 8*sqrt(x)) for x <= y limbs (Karatsuba, 9.1). Small,
+    sparse and lopsided products (a short side packed at the long side's
+    slot width) take the loop."""
     lo_a, lo_b = min(a, default=0), min(b, default=0)
     # only terms that can land below cap, exponents shifted to start at 0
     ta = [(e - lo_a, c) for e, c in a.items() if e + lo_b < cap]
     tb = [(e - lo_b, c) for e, c in b.items() if e + lo_a < cap]
     lo, cap = lo_a + lo_b, cap - lo_a - lo_b
-    terms = _kronecker(ta, tb, cap)
-    if terms is None:
-        terms = ((ea + eb, ca * cb) for ea, ca in ta for eb, cb in tb if ea + eb < cap)
+    if len(ta) * len(tb) > 64:
+        (span_a, bits_a), (span_b, bits_b) = (
+            (max(t)[0] + 1, max(abs(c) for _, c in t).bit_length()) for t in (ta, tb))
+        slot = bits_a + bits_b + min(len(ta), len(tb)).bit_length() + 2
+        x, y = sorted((span_a * (slot // 30 + 1), span_b * (slot // 30 + 1)))
+        loop = len(ta) * len(tb) * (80 + (bits_a // 30 + 1) * (bits_b // 30 + 1))
+        if 500 * (span_a + span_b) + y * min(x, 8 * isqrt(x)) < loop:
+            width = (slot + 7) // 8
+            product = _pack(ta, span_a, width) * _pack(tb, span_b, width)
+            coeffs = _unpack(product, min(span_a + span_b - 1, cap), width)
+            # the loop below then adds the packed coefficients times 1
+            ta, tb = [(0, 1)], [(e, c) for e, c in enumerate(coeffs) if c]
+    for ea, ca in ta:
+        for eb, cb in tb:
+            e = ea + eb
+            if e < cap:
+                e += lo
+                c = out.get(e, 0) + ca * cb
+                if c:
+                    out[e] = c
+                else:
+                    del out[e]
+    return out
+
+
+def _xmul(a: dict[int, Fraction], b: dict[int, Fraction], cap: int | float,
+          out: dict[int, Fraction]) -> dict[int, Fraction]:
+    """Add a*b below cap into out, for Fraction coefficient dicts (zero sums
+    dropped): each operand over the lcm of its denominators into _imul, one
+    Fraction per output term, and the term-by-term loop for operands that
+    fail _scaled's lcm rule."""
+    sa, sb = _scaled(a), _scaled(b)
+    if sa is None or sb is None:
+        terms = ((ea + eb, ca * cb) for ea, ca in a.items() for eb, cb in b.items() if ea + eb < cap)
+    else:
+        terms = _fractions(_imul(sa[0], sb[0], cap, {}), sa[1] * sb[1]).items()
     for e, c in terms:
-        _add(out, lo + e, c)
+        _add(out, e, c)
     return out
 
 
@@ -227,7 +257,7 @@ class XSeries(_Series):
         return e, 0
 
     def _mul(self, other: "XSeries", prec: int | float) -> "XSeries":
-        return XSeries._normal(_xmul(self.coeffs, other.coeffs, prec), prec)
+        return XSeries._normal(_xmul(self.coeffs, other.coeffs, prec, {}), prec)
 
     def ord(self) -> "int | AtLeast":
         """Least exponent with a nonzero coefficient, or AtLeast(precision)."""
@@ -261,12 +291,13 @@ class BiSeries(_Series):
 
     def _mul(self, other: "BiSeries", prec: int | float) -> "BiSeries":
         # row q of the product collects the x-products of rows qa + qb = q
-        rows: dict[int, dict[int, Fraction]] = {}
-        other_rows = _rows(other.coeffs)
-        for qa, a in _rows(self.coeffs).items():
+        ((fa, da), (fb, db)), mul = _integers(self.coeffs, other.coeffs)
+        rows: dict[int, dict[int, int]] = {}
+        other_rows = _rows(fb)
+        for qa, a in _rows(fa).items():
             for qb, b in other_rows.items():
-                _xmul(a, b, prec - qa - qb, rows.setdefault(qa + qb, {}))
-        return BiSeries._from_rows(rows, prec)
+                mul(a, b, prec - qa - qb, rows.setdefault(qa + qb, {}))
+        return BiSeries._from_rows({q: _fractions(row, da * db) for q, row in rows.items()}, prec)
 
     def multiplicity(self) -> "int | AtLeast":
         """Least total degree with a nonzero coefficient (order at the origin)."""
@@ -287,13 +318,18 @@ class BiSeries(_Series):
         prec = self.precision
         if g.precision != INF:
             prec = min([prec, *(p + (q - 1) * g_ord + g.precision for p, q in self.coeffs if q)])
-        rows = _rows(self.coeffs)
-        acc: dict[int, Fraction] = {}
-        for q in range(max(rows, default=0), -1, -1):
-            acc = _xmul(acc, g.coeffs, prec)
-            for p, c in rows.get(q, {}).items():
-                _add(acc, p, c)
-        return XSeries(acc, prec)
+        # Horner over one denominator per side: with f = F/df and g = G/dg,
+        # f(x, g) = sum_q F_q G^q dg^(top-q) / (df dg^top)
+        ((fs, df), (gs, dg)), mul = _integers(self.coeffs, g.coeffs)
+        rows = _rows(fs)
+        top = max(rows, default=0)
+        acc: dict[int, int] = {}
+        for q in range(top, -1, -1):
+            acc = mul(acc, gs, prec, {})
+            for p, n in rows.get(q, {}).items():
+                if p < prec:
+                    _add(acc, p, n * dg ** (top - q))
+        return XSeries._normal(_fractions(acc, df * dg ** top), prec)
 
     def translate_y(self, g: XSeries) -> "BiSeries":
         """Coordinate shift y -> y + g(x); afterwards {y = g(x)} is {y = 0}."""
@@ -304,16 +340,20 @@ class BiSeries(_Series):
             shifts = [p for (p, q) in self.coeffs if q >= 1]
             if shifts:
                 prec = min(prec, g.precision + min(shifts))
-        max_q = max((q for (_, q) in self.coeffs), default=0)
-        powers: list[dict[int, Fraction]] = [{0: Fraction(1)}]
-        for _ in range(max_q):
-            powers.append(_xmul(powers[-1], g.coeffs, prec))
-        # x^p (y + g)^q = sum_j C(q, j) x^p g^(q-j) y^j, collected by j
-        rows: dict[int, dict[int, Fraction]] = {}
-        for (p, q), c in self.coeffs.items():
+        ((fs, df), (gs, dg)), mul = _integers(self.coeffs, g.coeffs)
+        top = max((q for (_, q) in fs), default=0)
+        powers = [{0: 1}]
+        for _ in range(top):
+            powers.append(mul(powers[-1], gs, prec, {}))
+        # x^p (y + g)^q = sum_j C(q, j) x^p g^(q-j) y^j, collected by j over
+        # the one denominator df * dg^top
+        rows: dict[int, dict[int, int]] = {}
+        for (p, q), n in fs.items():
             for j in range(q + 1):
-                _xmul({p: c * comb(q, j)}, powers[q - j], prec - j, rows.setdefault(j, {}))
-        return BiSeries._from_rows(rows, prec)
+                mul({p: n * comb(q, j) * dg ** (top - q + j)}, powers[q - j], prec - j,
+                    rows.setdefault(j, {}))
+        den = df * dg ** top
+        return BiSeries._from_rows({j: _fractions(row, den) for j, row in rows.items()}, prec)
 
 
 def _power_str(var: str, e: int) -> str:

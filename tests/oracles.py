@@ -1,30 +1,32 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the library's own code paths: perfect squares are
-tested by integer square root, numeric surd ordering goes through mpmath, local intersection numbers through sympy resultants, the
-determinant check below is plain cofactor expansion, row reduction is
-plain Fraction Gauss-Jordan and the fraction-free Bareiss elimination that
-the library's modular elimination replaced, implicit branches are solved
-one coefficient at a time, series products are the term-by-term double
-loop that the library's packed-integer `_xmul` replaced, and series sums
-add coefficient dicts (the library multiplies series but never adds
-them). The squared-multiplicity inequality r*(sum of squares - m_i) >=
-M*(M-1) lives here too: no library path needs it, and acceptance
-criterion 7 checks it on random vectors. Floating point and computer
-algebra live here, never in the library.
+tested by integer square root, numeric surd ordering goes through mpmath,
+local intersection numbers through sympy resultants, the determinant check
+below is plain cofactor expansion, row reduction is plain Fraction
+Gauss-Jordan and the fraction-free Bareiss elimination that the library's
+modular elimination replaced, implicit branches are solved one coefficient
+at a time, series products are the term-by-term double loop that the
+library's packed-integer `_xmul` replaced, substitution and translation are
+the Fraction Horner and binomial expansions that the library's integer
+versions replaced, and series sums add coefficient dicts (the library
+multiplies series but never adds them). The squared-multiplicity inequality
+r*(sum of squares - m_i) >= M*(M-1) lives here too: no library path needs
+it, and acceptance criterion 7 checks it on random vectors. Floating point
+and computer algebra live here, never in the library.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import comb, isqrt, lcm
 from typing import Iterable, Sequence, TypeVar
 
 import mpmath
 import sympy
 
 from seshadri.cluster import BranchJet
-from seshadri.series import BiSeries, XSeries
+from seshadri.series import INF, BiSeries, XSeries
 
 S = TypeVar("S", BiSeries, XSeries)
 
@@ -180,12 +182,51 @@ def schoolbook_xmul(a: dict[int, Fraction], b: dict[int, Fraction], cap: int | f
             e = ea + eb
             if e >= cap:
                 continue
-            c = out.get(e, Fraction(0)) + ca * cb
+            c = ca * cb + out[e] if e in out else ca * cb
             if c:
                 out[e] = c
             elif e in out:
                 del out[e]
     return out
+
+
+def schoolbook_substitute_y(f: BiSeries, g: XSeries) -> XSeries:
+    """f(x, g(x)) by Horner on Fraction coefficients, each product through
+    schoolbook_xmul, at the precision BiSeries.substitute_y documents. The
+    library's integer Horner must agree, coefficients and precision both."""
+    g_ord = min(g.coeffs) if g.coeffs else g.precision
+    prec = f.precision
+    if g.precision != INF:
+        prec = min([prec, *(p + (q - 1) * g_ord + g.precision for p, q in f.coeffs if q)])
+    rows: dict[int, dict[int, Fraction]] = {}
+    for (p, q), c in f.coeffs.items():
+        rows.setdefault(q, {})[p] = c
+    acc: dict[int, Fraction] = {}
+    for q in range(max(rows, default=0), -1, -1):
+        acc = schoolbook_xmul(acc, g.coeffs, prec)
+        for p, c in rows.get(q, {}).items():
+            acc[p] = acc[p] + c if p in acc else c
+    return XSeries(acc, prec)
+
+
+def schoolbook_translate_y(f: BiSeries, g: XSeries) -> BiSeries:
+    """f(x, y + g(x)) from the binomial expansion of every term on Fraction
+    coefficients, each product through schoolbook_xmul, at the precision
+    BiSeries.translate_y documents. The library must agree exactly."""
+    prec = f.precision
+    shifts = [p for (p, q) in f.coeffs if q >= 1]
+    if g.precision != INF and shifts:
+        prec = min(prec, g.precision + min(shifts))
+    max_q = max((q for (_, q) in f.coeffs), default=0)
+    powers: list[dict[int, Fraction]] = [{0: Fraction(1)}]
+    for _ in range(max_q):
+        powers.append(schoolbook_xmul(powers[-1], g.coeffs, prec))
+    out: dict[tuple[int, int], Fraction] = {}
+    for (p, q), c in f.coeffs.items():
+        for j in range(q + 1):
+            for e, ge in schoolbook_xmul({p: c * comb(q, j)}, powers[q - j], prec - j).items():
+                out[e, j] = out[e, j] + ge if (e, j) in out else ge
+    return BiSeries(out, prec)
 
 
 def series_sum(terms: Iterable[S], start: S) -> S:
@@ -207,7 +248,7 @@ def undetermined_branch(f: BiSeries, precision: int) -> BranchJet:
     slope = f.coeffs[(0, 1)]
     g: dict[int, Fraction] = {}
     for k in range(1, precision):
-        residual = f.substitute_y(XSeries(g, precision=k + 1))
+        residual = schoolbook_substitute_y(f, XSeries(g, precision=k + 1))
         c = residual.coeffs.get(k, Fraction(0))
         if c:
             g[k] = -c / slope

@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from seshadri.exact import SurdValue
 from seshadri.parsing import (
@@ -194,7 +195,21 @@ def test_parse_surd_roots():
     assert parse_surd("2 sqrt(3)") == SurdValue(Fraction(2), 3)
 
 
+def test_parse_surd_parenthesized_coefficient():
+    assert parse_surd("(1/11)*sqrt(11)") == SurdValue(Fraction(1, 11), 11)
+    assert parse_surd("( -1/11 ) * sqrt(11)") == SurdValue(Fraction(-1, 11), 11)
+    assert parse_surd("-(2/3)") == SurdValue(Fraction(-2, 3))
+    assert parse_surd("-(-2)*sqrt(3)") == SurdValue(Fraction(2), 3)
+
+
+@given(st.fractions(), st.integers(0, 10**6))
+def test_printed_surds_parse_back(coeff, radicand):
+    surd = SurdValue(coeff, radicand)
+    assert parse_surd(str(surd)) == surd
+
+
 def test_parse_surd_errors():
-    for bad in ("", "sqrt()", "sqrt(-1)", "x", "1/0", "sqrt(2)*2"):
+    for bad in ("", "sqrt()", "sqrt(-1)", "x", "1/0", "sqrt(2)*2", "()", "()*sqrt(2)",
+                "(1/2", "1/2)*sqrt(2)", "(sqrt(2))", "(-)*sqrt(2)", "(1/0)*sqrt(2)"):
         with pytest.raises(ParseError):
             parse_surd(bad)
