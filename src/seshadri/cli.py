@@ -26,7 +26,7 @@ from .covering import (
     nagata_upper,
     steffens_bounds,
 )
-from .exact import SurdValue, surd_compare
+from .exact import SurdValue
 from .parsing import parse_branch, parse_curve, parse_surd
 from .series import AtLeast, PrecisionError
 from .witness import VerificationError, WitnessProblem, n8_certificate, solve_witness
@@ -352,7 +352,7 @@ def cmd_nagata(args) -> tuple[Report, int]:
         if args.conjecture:
             notes.append("small point count: bundled known value used instead of the conjecture")
     bound = nagata_upper(spec, args.r, eps)
-    maximal = surd_compare(bound, steffens_bounds(spec, args.r).upper) == 0
+    maximal = bound == steffens_bounds(spec, args.r).upper
     report = Report(
         command="nagata",
         inputs={"n": args.n, "r": args.r,

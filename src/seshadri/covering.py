@@ -71,7 +71,7 @@ def steffens_bounds(spec: CoveringSpec, r: int) -> SeshadriBounds:
     return SeshadriBounds(lower, upper)
 
 
-def nagata_upper(spec: CoveringSpec, r: int, eps_downstairs: SurdValue | Fraction | int) -> SurdValue:
+def nagata_upper(spec: CoveringSpec, r: int, eps_downstairs: SurdValue) -> SurdValue:
     """Upper bound n * eps for the constant of pi*L at r branch points.
 
     eps_downstairs must be the (known or conjectural) Seshadri constant of L
@@ -80,9 +80,7 @@ def nagata_upper(spec: CoveringSpec, r: int, eps_downstairs: SurdValue | Fractio
     """
     if r < 1:
         raise ValueError("number of points must be positive")
-    if not isinstance(eps_downstairs, SurdValue):
-        eps_downstairs = SurdValue(Fraction(eps_downstairs))
-    return spec.n * eps_downstairs
+    return SurdValue(spec.n * eps_downstairs.coeff, eps_downstairs.radicand)
 
 
 def nagata_conjectural(points: int) -> SurdValue:

@@ -82,16 +82,6 @@ class SurdValue:
     def is_rational(self) -> bool:
         return self.radicand == 1
 
-    def __neg__(self) -> "SurdValue":
-        return SurdValue(-self.coeff, self.radicand)
-
-    def __mul__(self, other: "SurdValue | Fraction | int") -> "SurdValue":
-        if isinstance(other, SurdValue):
-            return SurdValue(self.coeff * other.coeff, self.radicand * other.radicand)
-        return SurdValue(self.coeff * Fraction(other), self.radicand)
-
-    __rmul__ = __mul__
-
     def __str__(self) -> str:
         if self.radicand == 1:
             return str(self.coeff)
@@ -237,21 +227,13 @@ class RatMatrix:
     purpose.
     """
 
-    def __init__(self, entries: Iterable[Iterable[Fraction | int]], cols: int | None = None):
+    def __init__(self, entries: Iterable[Iterable[Fraction | int]], cols: int):
         rows = [[v if isinstance(v, Fraction) else Fraction(v) for v in row] for row in entries]
-        if rows:
-            width = len(rows[0])
-            if any(len(row) != width for row in rows):
-                raise ValueError("ragged rows")
-            if cols is not None and cols != width:
-                raise ValueError("cols does not match row width")
-        else:
-            if cols is None:
-                raise ValueError("empty matrix needs an explicit column count")
-            width = cols
+        if any(len(row) != cols for row in rows):
+            raise ValueError(f"every row needs {cols} entries")
         self.entries = rows
         self.rows = len(rows)
-        self.cols = width
+        self.cols = cols
 
     def rref(self) -> tuple[list[list[Fraction]], list[int]]:
         """Reduced row echelon form and the list of pivot columns.

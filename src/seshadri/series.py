@@ -92,6 +92,8 @@ def _integers(*operands: Mapping) -> tuple[list[tuple[dict, int]], Callable]:
 
 def _fractions(nums: dict, den: int) -> dict:
     """One Fraction per nonzero numerator (an int, or a Fraction over 1) over den."""
+    if den == 1:  # Fraction(n) copies a Fraction over 1 without a gcd
+        return {k: Fraction(n) for k, n in nums.items()}
     return {k: Fraction(n, den) for k, n in nums.items()}
 
 

@@ -269,6 +269,21 @@ def test_witness_explicit_problem(capsys):
     assert "-y + x^2" in out
 
 
+def test_printed_witness_basis_curves_parse_back(capsys):
+    code, out, _ = run(capsys, "witness", "--branch=y=x^2-3/2*x^3",
+                       "--degree=3", "--mult=1", "--target=7")
+    assert code == 0
+    results = dict(line.split("\t") for line in out.splitlines())
+    assert results["kernel_dim"] == "3"
+    curves = results["basis"].split(",")
+    assert len(curves) == 3
+    for curve in curves:
+        code, again, _ = run(capsys, "cluster", f"--curve={curve}",
+                             "--branch=y=x^2-3/2*x^3", "--n=3")
+        assert code == 0
+        assert "verified\ttrue" in again.splitlines()
+
+
 def test_witness_trivial_line_case(capsys):
     code, out, _ = run(capsys, "witness", "--branch", "y=0",
                        "--degree", "1", "--mult", "0", "--target", "1")

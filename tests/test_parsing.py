@@ -58,6 +58,15 @@ def test_parse_round_trip_through_str():
     assert parse_poly_xy(str(poly)) == poly
 
 
+@given(st.dictionaries(st.tuples(st.integers(0, 64), st.integers(0, 64)).filter(lambda k: sum(k) <= 64),
+                       st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6),
+                       max_size=12))
+def test_printed_curves_parse_back(coeffs):
+    # monomials x^p*y^q up to the parser's total degree limit, signed rational coefficients
+    curve = BiSeries(coeffs)
+    assert parse_curve(str(curve)) == curve
+
+
 def test_parse_errors():
     for bad in ("", "x +", "x^", "x^-2", "(x", "x/2", "z", "1/0"):
         with pytest.raises(ParseError):

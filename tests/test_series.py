@@ -389,6 +389,22 @@ def test_many_long_denominators_stay_near_the_schoolbook_oracle(method, oracle, 
     assert fast < 2 * slow + 1.0
 
 
+def test_fraction_fallback_builds_no_fraction_over_a_fraction(monkeypatch):
+    # Fraction(Fraction, 1) renormalises with a gcd over the 1000-digit parts
+    f = hostile_curve([(p, q) for p in range(14) for q in range(3)][:40])
+    g = parse_branch("y^3+y-x^2+x*y^2", 64).g
+    nested = []
+
+    def recording(numerator=0, *rest):
+        if rest and isinstance(numerator, Fraction):
+            nested.append(rest)
+        return Fraction(numerator, *rest)
+
+    monkeypatch.setattr(series, "Fraction", recording)
+    f.translate_y(g)
+    assert nested == []
+
+
 # --------------------------------------------------------------- precision
 
 def test_power_of_one_term_is_one_term_below_precision():

@@ -60,7 +60,7 @@ def test_hand_system_has_trivial_kernel():
     det = cofactor_determinant([[Fraction(v) for v in row] for row in HAND_SYSTEM])
     assert det != 0
     # the library's elimination agrees with the hand result
-    assert RatMatrix(HAND_SYSTEM).kernel() == []
+    assert RatMatrix(HAND_SYSTEM, cols=len(HAND_SYSTEM[0])).kernel() == []
 
 
 def test_solver_reproduces_hand_system(monkeypatch):
