@@ -351,7 +351,7 @@ def cmd_nagata(args) -> tuple[Report, int]:
         notes.append(f"bundled classical value realized by {known.exceptional_curve}")
         if args.conjecture:
             notes.append("small point count: bundled known value used instead of the conjecture")
-    bound = nagata_upper(spec, args.r, eps)
+    bound = nagata_upper(spec, eps)
     maximal = bound == steffens_bounds(spec, args.r).upper
     report = Report(
         command="nagata",

@@ -156,13 +156,13 @@ def branch_from_implicit(f: BiSeries, precision: int) -> BranchJet:
         # f(x, g) has order >= k, so only f_y(x, g) mod x^(k2-k) matters;
         # one Newton step w <- w*(2 + u*w) brings w up to that
         low = XSeries._normal({e: c for e, c in g.items() if e < k2 - k}, k2 - k)
-        U, du = _scaled(f_y.substitute_y(low).coeffs, capped=False)
+        U, du = _scaled(f_y.substitute_y(low).coeffs)
         step = _imul(U, W, k2 - k, {})
         step[0] = du * dw  # u*w starts with -1, so this makes 2 + u*w
         step, ds = _reduced(step, du * dw)
         W, dw = _reduced(_imul(W, step, k2 - k, {}), dw * ds)
         # g + f(x, g)*w: the new terms x^k..x^(k2-1) do not meet those of g
-        R, dr = _scaled(f.substitute_y(XSeries._normal(g, k2)).coeffs, capped=False)
+        R, dr = _scaled(f.substitute_y(XSeries._normal(g, k2)).coeffs)
         g.update(_fractions(_imul(R, W, k2, {}), dr * dw))
         k = k2
     return BranchJet(XSeries._normal(g, prec))

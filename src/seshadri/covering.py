@@ -71,15 +71,13 @@ def steffens_bounds(spec: CoveringSpec, r: int) -> SeshadriBounds:
     return SeshadriBounds(lower, upper)
 
 
-def nagata_upper(spec: CoveringSpec, r: int, eps_downstairs: SurdValue) -> SurdValue:
+def nagata_upper(spec: CoveringSpec, eps_downstairs: SurdValue) -> SurdValue:
     """Upper bound n * eps for the constant of pi*L at r branch points.
 
     eps_downstairs must be the (known or conjectural) Seshadri constant of L
     at n*r very general points of the base surface; the caller owns that
     claim and this function only scales it by the covering degree.
     """
-    if r < 1:
-        raise ValueError("number of points must be positive")
     return SurdValue(spec.n * eps_downstairs.coeff, eps_downstairs.radicand)
 
 

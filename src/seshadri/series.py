@@ -60,34 +60,24 @@ def _validate_precision(precision: int | float) -> int | float:
     raise ValueError(f"precision must be a non-negative integer or INF, got {precision!r}")
 
 
-def _add(out: dict[int, Fraction], e: int, c: Fraction) -> None:
-    """out[e] += c, dropping the key when the sum is zero."""
-    total = out[e] + c if e in out else c
-    if total:
-        out[e] = total
-    else:
-        out.pop(e, None)
-
-
-def _scaled(coeffs: Mapping, capped: bool = True) -> tuple[dict, int] | None:
-    """Integer numerators over the lcm of the denominators, and that lcm; if
-    capped, None when the lcm far outgrows the longest denominator (many
-    distinct long ones: one common denominator costs more than Fractions)."""
-    dens = [c.denominator for c in coeffs.values()]
-    scale = lcm(*dens)
-    if capped and scale.bit_length() > 2 * max(dens, default=1).bit_length() + 64:
-        return None
+def _scaled(coeffs: Mapping, scale: int = 0) -> tuple[dict, int]:
+    """Integer numerators over scale (by default the lcm of the denominators), and scale."""
+    scale = scale or lcm(*(c.denominator for c in coeffs.values()))
     return {k: c.numerator * (scale // c.denominator) for k, c in coeffs.items()}, scale
 
 
 def _integers(*operands: Mapping) -> tuple[list[tuple[dict, int]], Callable]:
-    """Each operand as numerators over one denominator, and their product:
-    integers over the lcm with _imul, or, if any lcm fails _scaled's rule,
-    every operand's Fractions over 1 with _xmul, which loops over such terms."""
-    scaled = [_scaled(c) for c in operands]
-    if None in scaled:
-        return [(c, 1) for c in operands], _xmul
-    return scaled, _imul
+    """Each operand as numerators over one denominator, and the product for
+    them: integers over each operand's lcm with _imul, or, if some lcm has
+    more than 2 * bits(longest denominator) + 64 bits (many distinct long
+    denominators), every operand's Fractions over 1, unscaled, with _loop."""
+    scales = []
+    for coeffs in operands:
+        dens = [c.denominator for c in coeffs.values()]
+        scales.append(lcm(*dens))
+        if scales[-1].bit_length() > 2 * max(dens, default=1).bit_length() + 64:
+            return [(c, 1) for c in operands], _loop
+    return [_scaled(c, s) for c, s in zip(operands, scales)], _imul
 
 
 def _fractions(nums: dict, den: int) -> dict:
@@ -95,6 +85,20 @@ def _fractions(nums: dict, den: int) -> dict:
     if den == 1:  # Fraction(n) copies a Fraction over 1 without a gcd
         return {k: Fraction(n) for k, n in nums.items()}
     return {k: Fraction(n, den) for k, n in nums.items()}
+
+
+def _loop(a: dict, b: dict, cap: int | float, out: dict) -> dict:
+    """Add a*b below cap into out term by term, for int or Fraction dicts (zero sums dropped)."""
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            if e < cap:
+                c = out.get(e, 0) + ca * cb
+                if c:
+                    out[e] = c
+                else:
+                    del out[e]
+    return out
 
 
 def _imul(a: dict[int, int], b: dict[int, int], cap: int | float,
@@ -112,11 +116,11 @@ def _imul(a: dict[int, int], b: dict[int, int], cap: int | float,
     sparse and lopsided products (a short side packed at the long side's
     slot width) take the loop."""
     lo_a, lo_b = min(a, default=0), min(b, default=0)
-    # only terms that can land below cap, exponents shifted to start at 0
-    ta = [(e - lo_a, c) for e, c in a.items() if e + lo_b < cap]
-    tb = [(e - lo_b, c) for e, c in b.items() if e + lo_a < cap]
-    lo, cap = lo_a + lo_b, cap - lo_a - lo_b
-    if len(ta) * len(tb) > 64:
+    # only terms that can land below cap; ta and tb start their exponents at 0
+    a = {e: c for e, c in a.items() if e + lo_b < cap}
+    b = {e: c for e, c in b.items() if e + lo_a < cap}
+    if len(a) * len(b) > 64:
+        ta, tb = [(e - lo_a, c) for e, c in a.items()], [(e - lo_b, c) for e, c in b.items()]
         (span_a, bits_a), (span_b, bits_b) = (
             (max(t)[0] + 1, max(abs(c) for _, c in t).bit_length()) for t in (ta, tb))
         slot = bits_a + bits_b + min(len(ta), len(tb)).bit_length() + 2
@@ -125,36 +129,10 @@ def _imul(a: dict[int, int], b: dict[int, int], cap: int | float,
         if 500 * (span_a + span_b) + y * min(x, 8 * isqrt(x)) < loop:
             width = (slot + 7) // 8
             product = _pack(ta, span_a, width) * _pack(tb, span_b, width)
-            coeffs = _unpack(product, min(span_a + span_b - 1, cap), width)
-            # the loop below then adds the packed coefficients times 1
-            ta, tb = [(0, 1)], [(e, c) for e, c in enumerate(coeffs) if c]
-    for ea, ca in ta:
-        for eb, cb in tb:
-            e = ea + eb
-            if e < cap:
-                e += lo
-                c = out.get(e, 0) + ca * cb
-                if c:
-                    out[e] = c
-                else:
-                    del out[e]
-    return out
-
-
-def _xmul(a: dict[int, Fraction], b: dict[int, Fraction], cap: int | float,
-          out: dict[int, Fraction]) -> dict[int, Fraction]:
-    """Add a*b below cap into out, for Fraction coefficient dicts (zero sums
-    dropped): each operand over the lcm of its denominators into _imul, one
-    Fraction per output term, and the term-by-term loop for operands that
-    fail _scaled's lcm rule."""
-    sa, sb = _scaled(a), _scaled(b)
-    if sa is None or sb is None:
-        terms = ((ea + eb, ca * cb) for ea, ca in a.items() for eb, cb in b.items() if ea + eb < cap)
-    else:
-        terms = _fractions(_imul(sa[0], sb[0], cap, {}), sa[1] * sb[1]).items()
-    for e, c in terms:
-        _add(out, e, c)
-    return out
+            coeffs = _unpack(product, min(span_a + span_b - 1, cap - lo_a - lo_b), width)
+            # the loop then adds the packed coefficients times 1
+            a, b = {lo_a + lo_b: 1}, {e: c for e, c in enumerate(coeffs) if c}
+    return _loop(a, b, cap, out)
 
 
 def _rows(coeffs: dict[tuple[int, int], Fraction]) -> dict[int, dict[int, Fraction]]:
@@ -259,7 +237,8 @@ class XSeries(_Series):
         return e, 0
 
     def _mul(self, other: "XSeries", prec: int | float) -> "XSeries":
-        return XSeries._normal(_xmul(self.coeffs, other.coeffs, prec, {}), prec)
+        ((a, da), (b, db)), mul = _integers(self.coeffs, other.coeffs)
+        return XSeries._normal(_fractions(mul(a, b, prec, {}), da * db), prec)
 
     def ord(self) -> "int | AtLeast":
         """Least exponent with a nonzero coefficient, or AtLeast(precision)."""
@@ -327,10 +306,12 @@ class BiSeries(_Series):
         top = max(rows, default=0)
         acc: dict[int, int] = {}
         for q in range(top, -1, -1):
-            acc = mul(acc, gs, prec, {})
-            for p, n in rows.get(q, {}).items():
-                if p < prec:
-                    _add(acc, p, n * dg ** (top - q))
+            row = {p: n * dg ** (top - q) for p, n in rows.get(q, {}).items() if p < prec}
+            if mul is _imul:
+                acc = _imul(acc, gs, prec, row)
+            else:  # acc's Fractions share denominators after one step: _integers decides again
+                ((a, da), (b, db)), step = _integers(acc, gs)
+                acc = _loop(row, {0: 1}, prec, _fractions(step(a, b, prec, {}), da * db))
         return XSeries._normal(_fractions(acc, df * dg ** top), prec)
 
     def translate_y(self, g: XSeries) -> "BiSeries":

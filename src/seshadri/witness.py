@@ -30,7 +30,8 @@ __all__ = [
 
 
 # The (d+1)(d+2)/2 columns bound the system: on a dense 64-term jet, degree 16
-# at target 152 (151 x 152) takes 4.5 s, 2 s eliminating (2-vCPU Xeon VM).
+# at target 152 (151 x 152) takes about 1.5 s, nearly all of it eliminating
+# (2-vCPU Xeon VM; README's limits section keeps the measured figures).
 MAX_WITNESS_DEGREE = 16
 MAX_WITNESS_TARGET = MAX_IMPLICIT_PRECISION
 

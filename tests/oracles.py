@@ -6,10 +6,11 @@ local intersection numbers through sympy resultants, the determinant check
 below is plain cofactor expansion, row reduction is plain Fraction
 Gauss-Jordan and the fraction-free Bareiss elimination that the library's
 modular elimination replaced, implicit branches are solved one coefficient
-at a time, series products are the term-by-term double loop that the
-library's packed-integer `_xmul` replaced, substitution and translation are
-the Fraction Horner and binomial expansions that the library's integer
-versions replaced, and series sums add coefficient dicts (the library
+at a time, series products are one Fraction product per pair of terms
+(the library's `_imul` packs integer numerators, and its `_loop` takes
+them or Fractions), substitution and translation are the Fraction Horner
+and binomial expansions that the library's integer versions replaced,
+and series sums add coefficient dicts (the library
 multiplies series but never adds them). The squared-multiplicity inequality
 r*(sum of squares - m_i) >= M*(M-1) lives here too: no library path needs
 it, and acceptance criterion 7 checks it on random vectors. Floating point
@@ -174,7 +175,8 @@ def schoolbook_xmul(a: dict[int, Fraction], b: dict[int, Fraction], cap: int | f
                     out: dict[int, Fraction] | None = None) -> dict[int, Fraction]:
     """Product of two x-series coefficient dicts below cap, one Fraction
     product per pair of terms; with `out` given the product is added into it
-    and zero sums dropped. The library's `_xmul` must agree exactly."""
+    and zero sums dropped. The library's `_imul` and `_loop`, and its series
+    products, must agree exactly."""
     if out is None:
         out = {}
     for ea, ca in a.items():

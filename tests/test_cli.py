@@ -364,6 +364,12 @@ def test_nagata_requires_source_for_large_counts(capsys):
     assert code == 1 and "usage error" in err
 
 
+def test_nagata_rejects_fewer_than_one_point(capsys):
+    # the one check on --r: nagata_upper takes no point count
+    err = assert_usage_error(capsys, "nagata", "--n", "9", "--r", "0")
+    assert err == "usage error: --r must be at least 1\n"
+
+
 def test_nagata_point_count_past_the_printable_digits(capsys):
     # n * r has 4301 digits, one more than str() prints
     err = assert_usage_error(capsys, "nagata", "--n", "9" * 4300, "--r", "2")

@@ -91,20 +91,20 @@ def test_numeric_inequality_always_holds(mults, data):
 # ----------------------------------------------------------------- nagata
 
 def test_nagata_upper_examples():
-    assert nagata_upper(CoveringSpec(n=9), 1, SurdValue(Fraction(1, 3))) == SurdValue(Fraction(3))
-    assert nagata_upper(CoveringSpec(n=2), 1, SurdValue(Fraction(1, 2))) == SurdValue(Fraction(1))
-    assert nagata_upper(CoveringSpec(n=5), 1, SurdValue(Fraction(2, 5))) == SurdValue(Fraction(2))
+    assert nagata_upper(CoveringSpec(n=9), SurdValue(Fraction(1, 3))) == SurdValue(Fraction(3))
+    assert nagata_upper(CoveringSpec(n=2), SurdValue(Fraction(1, 2))) == SurdValue(Fraction(1))
+    assert nagata_upper(CoveringSpec(n=5), SurdValue(Fraction(2, 5))) == SurdValue(Fraction(2))
     # the coefficient is scaled, the radicand kept
-    assert nagata_upper(CoveringSpec(n=3), 1, SurdValue(Fraction(1, 9), 3)) == SurdValue(Fraction(1, 3), 3)
+    assert nagata_upper(CoveringSpec(n=3), SurdValue(Fraction(1, 9), 3)) == SurdValue(Fraction(1, 3), 3)
 
 
-@given(st.integers(2, 30), st.integers(1, 10),
+@given(st.integers(2, 30),
        st.fractions(min_value=Fraction(1, 100), max_value=Fraction(10), max_denominator=100),
        st.integers(1, 50))
-def test_nagata_upper_scales_linearly(n, r, eps, radicand):
+def test_nagata_upper_scales_linearly(n, eps, radicand):
     spec = CoveringSpec(n=n)
-    single = nagata_upper(spec, r, SurdValue(eps, radicand))
-    doubled = nagata_upper(spec, r, SurdValue(2 * eps, radicand))
+    single = nagata_upper(spec, SurdValue(eps, radicand))
+    doubled = nagata_upper(spec, SurdValue(2 * eps, radicand))
     assert doubled == SurdValue(2 * single.coeff, single.radicand)
     assert single == SurdValue(n * eps, radicand)
 

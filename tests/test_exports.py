@@ -1,8 +1,10 @@
-"""Names other code looks up in the package: every `__all__` entry, and the
-functions and methods the benchmark tracer in bench/tracer.py wraps."""
+"""Names other code looks up in the package: every `__all__` entry, the
+functions and methods the benchmark tracer in bench/tracer.py wraps, and
+the private names one library module takes from another."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -38,3 +40,29 @@ def test_every_exported_name_exists():
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), (module.__name__, name)
+
+
+def test_private_names_cross_only_the_listed_module_boundaries():
+    # integer numerators over one denominator are the series layer's own
+    # representation; spreading it to another module is a decision to make
+    # here, in the open
+    allowed = {("series", "exact", "_pack"), ("series", "exact", "_unpack"),
+               ("cluster", "series", "_fractions"), ("cluster", "series", "_imul"),
+               ("cluster", "series", "_scaled")}
+    src = Path(seshadri.__file__).parent
+    crossings = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level:
+                source = node.module or ""
+            elif (node.module or "").startswith("seshadri."):
+                source = node.module.removeprefix("seshadri.")
+            else:
+                continue
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.startswith("__"):
+                    crossings.add((path.stem, source, alias.name))
+    assert crossings <= allowed, sorted(crossings - allowed)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,8 @@ from seshadri.series import (
     BiSeries,
     XSeries,
     _imul,
-    _xmul,
+    _integers,
+    _loop,
     order_meets,
 )
 
@@ -172,8 +174,12 @@ def xmul_cases(draw):
 @given(xmul_cases(), st.dictionaries(st.integers(0, 80), rationals, max_size=4))
 def test_xmul_matches_schoolbook(case, out):
     a, b, cap = case
+    product = XSeries(a, cap) * XSeries(b, cap)
+    assert product.coeffs == schoolbook_xmul(a, b, cap) and product.precision == cap
+    assert all(type(c) is Fraction for c in product.coeffs.values())
+    # the term loop on Fraction dicts, added into a non-empty out
     expected = schoolbook_xmul(a, b, cap, dict(out))
-    got = _xmul(a, b, cap, out)
+    got = _loop(a, b, cap, out)
     assert got is out and got == expected and all(got.values())
 
 
@@ -181,8 +187,33 @@ def test_xmul_matches_schoolbook(case, out):
 @given(xmul_cases())
 def test_xmul_accumulation_cancels_to_an_empty_dict(case):
     a, b, cap = case
-    out = {e: -c for e, c in schoolbook_xmul(a, b, cap).items()}
-    assert _xmul(a, b, cap, out) == {}
+    product = schoolbook_xmul(a, b, cap)
+    assert _loop(a, b, cap, {e: -c for e, c in product.items()}) == {}
+    # the same on the numerators and the product that XSeries products use
+    ((na, da), (nb, db)), mul = _integers(a, b)
+    assert mul(na, nb, cap, {e: -c * da * db for e, c in product.items()}) == {}
+
+
+def test_integers_decides_at_the_lcm_boundary():
+    # the longest denominator, 2^99, has 100 bits, so the rule allows an lcm
+    # of 2 * 100 + 64 = 264 bits: 2^99 * 3^60 * d for d prime to 6
+    def operand(lcm_bits):
+        d = 2 ** (lcm_bits - 1) // (2**99 * 3**60) + 1
+        while d % 2 == 0 or d % 3 == 0:
+            d += 1
+        coeffs = {0: Fraction(1, 2**99), 1: Fraction(1, 3**60), 2: Fraction(1, d)}
+        assert lcm(*(c.denominator for c in coeffs.values())).bit_length() == lcm_bits
+        return coeffs
+
+    at, over, small = operand(264), operand(265), {0: Fraction(1, 3), 4: Fraction(2)}
+    for operands in ((at,), (small, at), (at, small)):
+        scaled, mul = _integers(*operands)
+        assert mul is _imul
+        for (nums, den), coeffs in zip(scaled, operands):
+            assert den == lcm(*(c.denominator for c in coeffs.values()))
+            assert {k: Fraction(n, den) for k, n in nums.items()} == coeffs
+    for operands in ((over,), (small, over), (over, small), (over, at)):
+        assert _integers(*operands) == ([(c, 1) for c in operands], _loop)
 
 
 @st.composite
@@ -212,7 +243,7 @@ def test_imul_matches_schoolbook(case, out):
     assert got is out and got == expected and all(got.values())
 
 
-def test_xmul_packs_only_large_dense_products(monkeypatch):
+def test_imul_packs_only_large_dense_products(monkeypatch):
     packed = []
     monkeypatch.setattr(series, "_pack", lambda *args: packed.append(args[1]) or _pack(*args))
 
@@ -236,11 +267,12 @@ def test_xmul_packs_only_large_dense_products(monkeypatch):
     narrow = {e: rng.getrandbits(16) | 1 for e in range(64)}
     assert not packs(wide, narrow)
     assert packs(wide, wide)
+    # XSeries products reach it on numerators over one denominator
     a, b = {e: Fraction(c, 3) for e, c in dense.items()}, {e: Fraction(c) for e, c in sparse.items()}
-    assert _xmul(a, b, 20, {}) == schoolbook_xmul(a, b, 20)
+    assert (XSeries(a, 20) * XSeries(b, 20)).coeffs == schoolbook_xmul(a, b, 20)
     # a far exponent must not allocate the slots of its gap
     far = {**a, 10**12: Fraction(1)}
-    assert _xmul(far, far, INF, {}) == schoolbook_xmul(far, far, INF)
+    assert (XSeries(far) * XSeries(far)).coeffs == schoolbook_xmul(far, far, INF)
 
 
 def test_xmul_keeps_the_loop_when_the_lcm_outgrows_the_denominators():
@@ -253,9 +285,9 @@ def test_xmul_keeps_the_loop_when_the_lcm_outgrows_the_denominators():
     expected = schoolbook_xmul(a, b, INF)
     loop = time.perf_counter() - started
     started = time.perf_counter()
-    got = _xmul(a, b, INF, {})
+    got = XSeries(a) * XSeries(b)
     assert time.perf_counter() - started < 2 * loop + 0.5
-    assert got == expected
+    assert got.coeffs == expected
 
 
 # ------------------------------------------------------------ substitution
@@ -403,6 +435,20 @@ def test_fraction_fallback_builds_no_fraction_over_a_fraction(monkeypatch):
     monkeypatch.setattr(series, "Fraction", recording)
     f.translate_y(g)
     assert nested == []
+
+
+def test_fraction_fallback_horner_multiplies_its_accumulator_in_integers(monkeypatch):
+    # after one Horner step the accumulator's terms share the curve's long
+    # denominators, so _integers passes it: multiplied term by term in
+    # Fractions instead, this substitution took 16 s against 1.2 s (2-vCPU
+    # Xeon VM)
+    f = hostile_curve([(p, q) for p in range(14) for q in range(3)][:40])
+    g = parse_branch("y^3+y-x^2+x*y^2", 64).g
+    lengths = []
+    monkeypatch.setattr(series, "_imul",
+                        lambda a, b, cap, out: lengths.append(len(a)) or _imul(a, b, cap, out))
+    f.substitute_y(g)
+    assert max(lengths, default=0) == 64
 
 
 # --------------------------------------------------------------- precision
