@@ -15,10 +15,8 @@ than a guess.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 
-from .series import INF, AtLeast, BiSeries, XSeries, _fractions, _imul, _scaled
+from .series import INF, AtLeast, BiSeries, XSeries
 
 __all__ = [
     "BranchJet",
@@ -127,48 +125,7 @@ MAX_IMPLICIT_PRECISION = 256
 
 
 def branch_from_implicit(f: BiSeries, precision: int) -> BranchJet:
-    """Solve f(x, g(x)) = 0 for the branch graph g by Newton lifting.
-
-    Needs f(0,0) = 0 and a nonzero coefficient on y, the implicit function
-    theorem hypothesis at the origin. Each step doubles the number of known
-    coefficients: with g correct mod x^k, g - f(x,g) / f_y(x,g) is correct
-    mod x^2k (Brent & Kung, JACM 25, 1978). The arithmetic is exact, so the
-    result equals the unique solution to its precision, which is the
-    requested one or f's own if lower: unknown terms of f of total degree
-    >= T only disturb g at orders >= T, since ord g >= 1.
-    """
+    """The branch graph of f = 0 at the origin, solved by `BiSeries.solve_y`."""
     if not 1 <= precision <= MAX_IMPLICIT_PRECISION:
         raise ValueError(f"precision must be between 1 and {MAX_IMPLICIT_PRECISION}")
-    if f.coeffs.get((0, 0)):
-        raise ValueError("implicit branch must pass through the origin")
-    slope = f.coeffs.get((0, 1), Fraction(0))
-    if slope == 0:
-        raise ValueError("implicit branch needs a nonzero y-coefficient at the origin")
-    prec = min(precision, f.precision)
-    f_y = BiSeries({(p, q - 1): q * c for (p, q), c in f.coeffs.items() if q}, f.precision - 1)
-    g: dict[int, Fraction] = {}  # correct mod x^k
-    # w = W/dw = -1 / f_y(x, g) mod x^(k/2) (mod x while k = 1), integer
-    # numerators over one denominator
-    W, dw = {0: -slope.denominator}, slope.numerator
-    k = 1
-    while k < prec:
-        k2 = min(2 * k, prec)
-        # f(x, g) has order >= k, so only f_y(x, g) mod x^(k2-k) matters;
-        # one Newton step w <- w*(2 + u*w) brings w up to that
-        low = XSeries._normal({e: c for e, c in g.items() if e < k2 - k}, k2 - k)
-        U, du = _scaled(f_y.substitute_y(low).coeffs)
-        step = _imul(U, W, k2 - k, {})
-        step[0] = du * dw  # u*w starts with -1, so this makes 2 + u*w
-        step, ds = _reduced(step, du * dw)
-        W, dw = _reduced(_imul(W, step, k2 - k, {}), dw * ds)
-        # g + f(x, g)*w: the new terms x^k..x^(k2-1) do not meet those of g
-        R, dr = _scaled(f.substitute_y(XSeries._normal(g, k2)).coeffs)
-        g.update(_fractions(_imul(R, W, k2, {}), dr * dw))
-        k = k2
-    return BranchJet(XSeries._normal(g, prec))
-
-
-def _reduced(nums: dict[int, int], den: int) -> tuple[dict[int, int], int]:
-    """nums/den with the content gcd(den, nums) divided out."""
-    c = gcd(den, *nums.values())
-    return ({e: n // c for e, n in nums.items()}, den // c) if c != 1 else (nums, den)
+    return BranchJet(f.solve_y(precision))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 from typing import Callable, Mapping
 
 from .exact import _pack, _unpack
@@ -133,6 +133,12 @@ def _imul(a: dict[int, int], b: dict[int, int], cap: int | float,
             # the loop then adds the packed coefficients times 1
             a, b = {lo_a + lo_b: 1}, {e: c for e, c in enumerate(coeffs) if c}
     return _loop(a, b, cap, out)
+
+
+def _reduced(nums: dict[int, int], den: int) -> tuple[dict[int, int], int]:
+    """nums/den with the content gcd(den, nums) divided out."""
+    c = gcd(den, *nums.values())
+    return ({e: n // c for e, n in nums.items()}, den // c) if c != 1 else (nums, den)
 
 
 def _rows(coeffs: dict[tuple[int, int], Fraction]) -> dict[int, dict[int, Fraction]]:
@@ -313,6 +319,43 @@ class BiSeries(_Series):
                 ((a, da), (b, db)), step = _integers(acc, gs)
                 acc = _loop(row, {0: 1}, prec, _fractions(step(a, b, prec, {}), da * db))
         return XSeries._normal(_fractions(acc, df * dg ** top), prec)
+
+    def solve_y(self, precision: int) -> XSeries:
+        """The graph g with f(x, g(x)) = 0 for f = self, by Newton lifting.
+
+        With g correct mod x^k, g - f(x,g) / f_y(x,g) is correct mod x^2k
+        (Brent & Kung, JACM 25, 1978). g is exact to the lesser of precision and
+        f's own: as ord g >= 1, unknown terms of f of degree >= T move g at >= T.
+        """
+        if not isinstance(precision, int) or precision < 1:
+            raise ValueError(f"precision must be a positive integer, got {precision!r}")
+        if self.coeffs.get((0, 0)):
+            raise ValueError("implicit branch must pass through the origin")
+        slope = self.coeffs.get((0, 1), Fraction(0))
+        if slope == 0:
+            raise ValueError("implicit branch needs a nonzero y-coefficient at the origin")
+        prec = min(precision, self.precision)  # >= 1: a y-term needs self.precision >= 2
+        f_y = BiSeries({(p, q - 1): q * c for (p, q), c in self.coeffs.items() if q},
+                       self.precision - 1)
+        g: dict[int, Fraction] = {}  # correct mod x^k
+        # w = W/dw = -1 / f_y(x, g) mod x^(k/2) (mod x while k = 1)
+        W, dw = {0: -slope.denominator}, slope.numerator
+        k = 1
+        while k < prec:
+            k2 = min(2 * k, prec)
+            # f(x, g) has order >= k, so only f_y(x, g) mod x^(k2-k) matters;
+            # one Newton step w <- w*(2 + u*w) brings w up to that
+            low = XSeries._normal({e: c for e, c in g.items() if e < k2 - k}, k2 - k)
+            U, du = _scaled(f_y.substitute_y(low).coeffs)
+            step = _imul(U, W, k2 - k, {})
+            step[0] = du * dw  # u*w starts with -1, so this makes 2 + u*w
+            step, ds = _reduced(step, du * dw)
+            W, dw = _reduced(_imul(W, step, k2 - k, {}), dw * ds)
+            # g + f(x, g)*w: the new terms x^k..x^(k2-1) do not meet those of g
+            R, dr = _scaled(self.substitute_y(XSeries._normal(g, k2)).coeffs)
+            g.update(_fractions(_imul(R, W, k2, {}), dr * dw))
+            k = k2
+        return XSeries._normal(g, prec)
 
     def translate_y(self, g: XSeries) -> "BiSeries":
         """Coordinate shift y -> y + g(x); afterwards {y = g(x)} is {y = 0}."""

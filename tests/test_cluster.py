@@ -196,30 +196,36 @@ def test_coordinate_invariance_under_reparameterization():
 
 # --------------------------------------------------------- implicit branch
 
+# the traced entry and the series method it calls, each returning the graph g
+SOLVERS = (lambda f, precision: branch_from_implicit(f, precision).g, BiSeries.solve_y)
+
+
 def test_implicit_branch_simple_graph():
-    g = branch_from_implicit(BiSeries({(0, 1): 1, (2, 0): -1}), 8)  # y - x^2
-    assert g.g == XSeries({2: 1}, 8)
+    for solve in SOLVERS:
+        assert solve(BiSeries({(0, 1): 1, (2, 0): -1}), 8) == XSeries({2: 1}, 8)  # y - x^2
 
 
 def test_implicit_branch_solves_to_requested_precision():
     f = BiSeries({(0, 1): 1, (0, 2): 1, (2, 0): -1})  # y + y^2 - x^2
-    jet = branch_from_implicit(f, 12)
-    assert jet.precision == 12
-    residual = f.substitute_y(jet.g)
-    assert residual.is_zero
-    assert residual.precision >= 12
-    # leading terms of the closed-form solution (-1 + sqrt(1 + 4x^2))/2
-    assert jet.g.coeffs[2] == 1
-    assert jet.g.coeffs[4] == -1
-    assert jet.g.coeffs[6] == 2
+    for solve in SOLVERS:
+        g = solve(f, 12)
+        assert g.precision == 12
+        residual = f.substitute_y(g)
+        assert residual.is_zero
+        assert residual.precision >= 12
+        # leading terms of the closed-form solution (-1 + sqrt(1 + 4x^2))/2
+        assert g.coeffs[2] == 1
+        assert g.coeffs[4] == -1
+        assert g.coeffs[6] == 2
 
 
 def test_implicit_branch_stops_at_the_precision_of_f():
     # the unknown x^4 term of F moves g at x^4: with +5*x^4, g = x^2 - 5*x^4
     truncated = BiSeries({(0, 1): 1, (2, 0): -1}, precision=4)
-    assert branch_from_implicit(truncated, 8).g == XSeries({2: 1}, 4)
     completed = BiSeries({(0, 1): 1, (2, 0): -1, (4, 0): 5})
-    assert branch_from_implicit(completed, 8).g == XSeries({2: 1, 4: -5}, 8)
+    for solve in SOLVERS:
+        assert solve(truncated, 8) == XSeries({2: 1}, 4)
+        assert solve(completed, 8) == XSeries({2: 1, 4: -5}, 8)
 
 
 _SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -231,17 +237,27 @@ _SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 def test_newton_lift_matches_undetermined_coefficients(terms, slope, precision):
     terms.pop((0, 0), None)
     f = BiSeries({**terms, (0, 1): slope})
-    assert branch_from_implicit(f, precision) == undetermined_branch(f, precision)
+    expected = undetermined_branch(f, precision)
+    assert branch_from_implicit(f, precision) == expected
+    assert f.solve_y(precision) == expected.g
 
 
 def test_newton_lift_matches_oracle_on_benchmark_branch():
     # the implicit-branch benchmark's F = y + a*x^2 + b*x^4 + c*x^2*y + d*x*y^2
     f = BiSeries({(0, 1): 1, (2, 0): 3, (4, 0): -5, (2, 1): 2, (1, 2): Fraction(-7, 2)})
-    assert branch_from_implicit(f, 64) == undetermined_branch(f, 64)
+    expected = undetermined_branch(f, 64)
+    assert branch_from_implicit(f, 64) == expected
+    assert f.solve_y(64) == expected.g
 
 
 def test_implicit_branch_requires_transversality():
-    with pytest.raises(ValueError):
-        branch_from_implicit(BiSeries({(0, 2): 1, (2, 0): -1}), 8)  # dF/dy(0) = 0
-    with pytest.raises(ValueError):
-        branch_from_implicit(BiSeries({(0, 0): 1, (0, 1): 1}), 8)  # misses origin
+    tangent = BiSeries({(0, 2): 1, (2, 0): -1})  # dF/dy(0) = 0
+    for solve in SOLVERS:
+        for f in (tangent, BiSeries({}, 0), BiSeries({(0, 2): 1}, 1)):
+            with pytest.raises(ValueError, match="nonzero y-coefficient at the origin"):
+                solve(f, 8)
+        with pytest.raises(ValueError, match="must pass through the origin"):
+            solve(BiSeries({(0, 0): 1, (0, 1): 1}), 8)  # misses origin
+        for precision in (0, -1):
+            with pytest.raises(ValueError, match="precision must be"):
+                solve(BiSeries({(0, 1): 1, (2, 0): -1}), precision)

@@ -157,3 +157,26 @@ def test_table_consistent_with_known_plane_constants():
     # reproduces every table entry
     for n, cand in constants_table():
         assert n * KNOWN_PLANE_CONSTANTS[n].value == cand.epsilon
+
+
+def test_multi_point_counts_match_the_plane_constants_where_known():
+    # an invariant divisor of degree d with multiplicity m at r ramification
+    # points exists once h0(d) > r * conditions(n, m), and bounds the r-point
+    # constant by n*d/(r*m). Where n*r <= 9 the least bound over d < 40 is n
+    # times the plane constant at n*r points; elsewhere no d beats sqrt(n/r).
+    best = {}
+    for n in range(2, 10):
+        for r in range(1, 7):
+            pairs = []
+            for d in range(40):
+                m = 0
+                while h0_plane(d) > r * condition_count(n, m + 1):
+                    m += 1
+                pairs.append((d, m))
+            if n * r <= 9:
+                ratio, d, m = min((Fraction(n * d, r * m), d, m) for d, m in pairs if m)
+                assert ratio == n * KNOWN_PLANE_CONSTANTS[n * r].value, (n, r)
+                best[n, r] = d, m
+            else:
+                assert all(n * d * d >= r * m * m for d, m in pairs), (n, r)
+    assert len(best) == 14 and best[2, 4] == (24, 17)  # 12/17 = 2 * 6/17

@@ -5,14 +5,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from seshadri.cluster import BranchJet, cluster_multiplicities, normalize_branch
 from seshadri.conditions import h0_plane
 from seshadri.intersection import local_intersection
 from seshadri.series import AtLeast, BiSeries, XSeries, order_meets
 
-from oracles import resultant_intersection_order
+from oracles import resultant_intersection_order, series_sum, undetermined_branch
 
 
 def query(curve_coeffs, branch_coeffs, precision=None):
@@ -104,3 +104,29 @@ def test_intersection_dominates_cluster_sum(curve_coeffs, branch_coeffs, n):
     res = cluster_multiplicities(normalized, n)
     contact = local_intersection(series, branch)
     assert order_meets(contact, res.total)
+
+
+@settings(max_examples=80, deadline=None)
+@given(curves, branches, st.none() | st.integers(1, 8), st.none() | curves)
+def test_cluster_sum_is_the_resultant_intersection_number(curve_coeffs, branch_coeffs, k,
+                                                          implicit):
+    # Noether's formula (C.B)_0 = sum of m_i(C) over the infinitely near
+    # points of the smooth branch B, checked against the sympy resultant.
+    # B is y = g for a polynomial g, or F = 0 for F = y + implicit, solved
+    # by the oracle; C is random, or (y - g)*h + x^k, of contact k with B.
+    f = BiSeries({**implicit, (0, 1): 1, (0, 0): 0}) if implicit is not None else None
+    if f is not None:  # the resultant sees g mod x^16, exact for contact below 16
+        branch_coeffs = undetermined_branch(f, 16).g.coeffs
+    curve = BiSeries(curve_coeffs)
+    if k is not None:
+        line = BiSeries({(0, 1): 1, **{(e, 0): -c for e, c in branch_coeffs.items()}})
+        curve = series_sum([line * BiSeries({**curve_coeffs, (0, 0): 1})],
+                           BiSeries({(k, 0): 1}))
+    assume(not curve.is_zero)
+    contact = resultant_intersection_order(curve.coeffs, branch_coeffs)
+    assume(contact is not None and (f is None or contact < 16))
+    if k is not None:
+        assert contact == k
+    g = undetermined_branch(f, contact + 1).g if f is not None else XSeries(branch_coeffs)
+    res = cluster_multiplicities(normalize_branch(curve, BranchJet(g)), contact + 1)
+    assert res.determinate and res.total == contact
