@@ -64,17 +64,6 @@ def normalize_branch(curve: BiSeries, branch: BranchJet) -> BiSeries:
     return curve.translate_y(branch.g)
 
 
-def _strict_transform(series: BiSeries, mult: int) -> BiSeries:
-    """One blow-up step in the chart x = x1, y = x1*y1, divided by x1^mult.
-
-    A term x^p y^q becomes x1^(p+q-mult) y1^q. Precision drops by mult: an
-    unknown term of total degree >= T lands in total degree >= T - mult.
-    """
-    prec = series.precision if series.precision == INF else max(series.precision - mult, 0)
-    return BiSeries._normal({(p + q - mult, q): c for (p, q), c in series.coeffs.items()
-                             if p + 2 * q - mult < prec}, prec)
-
-
 def cluster_multiplicities(curve: BiSeries, n: int) -> ClusterResult:
     """Multiplicity sequence of a branch-normalized curve along the first n
     infinitely near points of the branch.
@@ -82,25 +71,34 @@ def cluster_multiplicities(curve: BiSeries, n: int) -> ClusterResult:
     The curve must already be in coordinates where the branch is {y = 0}.
     A unit factor (nonzero constant term) has multiplicity 0 and ends the
     walk; all later entries are 0.
+
+    Each step divides the chart x = x1, y = x1*y1 by x1^m, m the multiplicity:
+    x^p y^q becomes x1^(p+q-m) y1^q, and precision drops by m (an unknown term
+    of degree >= T lands in degree >= T - m). Terms never merge, so the walk
+    keeps only the staircase q -> least p with x^p y^q in the curve: that term
+    has the least degree of its row and is the last to fall below precision.
     """
     if n < 1:
         raise ValueError("need at least one cluster point")
     if curve.is_zero and curve.precision == INF:
         raise ValueError("the zero curve has no multiplicity sequence")
-    s = curve
+    stair: dict[int, int] = {}
+    for p, q in curve.coeffs:
+        stair[q] = min(p, stair.get(q, p))
+    prec = curve.precision
     mults: list[int] = []
     determinate = True
     for _ in range(n):
-        m = s.multiplicity()
-        if isinstance(m, AtLeast):
+        if not stair:
             determinate = False
             break
+        m = min(p + q for q, p in stair.items())
         if m == 0:
             break
         mults.append(m)
-        s = _strict_transform(s, m)
-    while len(mults) < n:
-        mults.append(0)
+        prec = max(prec - m, 0)
+        stair = {q: p + q - m for q, p in stair.items() if p + 2 * q - m < prec}
+    mults += [0] * (n - len(mults))
     return ClusterResult(tuple(mults), determinate)
 
 

@@ -10,11 +10,12 @@ at a time, series products are one Fraction product per pair of terms
 (the library's `_imul` packs integer numerators, and its `_loop` takes
 them or Fractions), substitution and translation are the Fraction Horner
 and binomial expansions that the library's integer versions replaced,
-and series sums add coefficient dicts (the library
-multiplies series but never adds them). The squared-multiplicity inequality
-r*(sum of squares - m_i) >= M*(M-1) lives here too: no library path needs
-it, and acceptance criterion 7 checks it on random vectors. Floating point
-and computer algebra live here, never in the library.
+series sums add coefficient dicts (the library multiplies series but never
+adds them), and the cluster walk blows up the whole series where the
+library keeps one exponent per power of y. The squared-multiplicity
+inequality r*(sum of squares - m_i) >= M*(M-1) lives here too: no library
+path needs it, and acceptance criterion 7 checks it on random vectors.
+Floating point and computer algebra live here, never in the library.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Iterable, Sequence, TypeVar
 import mpmath
 import sympy
 
-from seshadri.cluster import BranchJet
+from seshadri.cluster import BranchJet, ClusterResult
 from seshadri.series import INF, BiSeries, XSeries
 
 S = TypeVar("S", BiSeries, XSeries)
@@ -255,3 +256,26 @@ def undetermined_branch(f: BiSeries, precision: int) -> BranchJet:
         if c:
             g[k] = -c / slope
     return BranchJet(XSeries(g, precision=precision))
+
+
+def series_cluster_walk(curve: BiSeries, n: int) -> ClusterResult:
+    """The cluster walk on whole series: each step takes the multiplicity m
+    and maps every term x^p y^q to x^(p+q-m) y^q at precision lowered by m,
+    so the BiSeries constructor drops the terms of degree p+2q-m that fall
+    below it. An empty series ends the walk undetermined, a unit ends it
+    with zeros. cluster_multiplicities must agree on every input."""
+    if n < 1:
+        raise ValueError("need at least one cluster point")
+    if curve.is_zero and curve.precision == INF:
+        raise ValueError("the zero curve has no multiplicity sequence")
+    s, mults = curve, []
+    while len(mults) < n:
+        m = s.multiplicity()
+        if not isinstance(m, int):
+            return ClusterResult(tuple(mults) + (0,) * (n - len(mults)), False)
+        if m == 0:
+            break
+        mults.append(m)
+        prec = s.precision if s.precision == INF else max(s.precision - m, 0)
+        s = BiSeries({(p + q - m, q): c for (p, q), c in s.coeffs.items()}, prec)
+    return ClusterResult(tuple(mults) + (0,) * (n - len(mults)), True)

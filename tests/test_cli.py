@@ -239,6 +239,18 @@ def test_cluster_n_limit(capsys):
     assert err == "usage error: --n must be at most 10000\n"
 
 
+def test_cluster_longest_walk_on_the_largest_curve(capsys):
+    # y*(1+x+y)^63 has 2080 terms and multiplicity 1 at each of the 10000
+    # cluster points; the walk carries one exponent per power of y, not the
+    # whole series, through every blow-up
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "cluster", "--curve", "(1+x+y)^63*y", "--branch", "y=0",
+                       "--n", "10000")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert "total\t10000" in out and "verified\ttrue" in out
+
+
 def test_cluster_rejects_garbage(capsys):
     code, _, err = run(capsys, "cluster", "--curve", "z^2", "--n", "2")
     assert code == 1 and "usage error" in err

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from seshadri.cluster import (
     BranchJet,
@@ -17,7 +17,7 @@ from seshadri.cluster import (
 )
 from seshadri.series import INF, AtLeast, BiSeries, XSeries
 
-from oracles import series_sum, undetermined_branch
+from oracles import series_cluster_walk, series_sum, undetermined_branch
 
 
 def curve(coeffs, precision=INF):
@@ -101,6 +101,35 @@ def test_indeterminate_when_precision_runs_out():
     res = cluster_multiplicities(curve({(0, 1): 1}, precision=3), 4)
     assert not res.determinate
     assert res.mults == (1, 1, 0, 0)
+
+
+_TERMS = st.tuples(st.integers(0, 10), st.integers(0, 10))
+walk_supports = st.one_of(
+    st.dictionaries(_TERMS, st.integers(-3, 3), max_size=8),
+    st.just({}),
+    st.dictionaries(_TERMS, st.integers(1, 3), max_size=5).map(lambda d: {**d, (0, 0): 1}),
+    st.dictionaries(st.tuples(st.just(0), st.integers(1, 10)), st.integers(1, 3),
+                    min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@example({}, INF, 3)  # the zero curve: both raise
+@example({}, 0, 1)
+@example({(0, 0): 2, (3, 1): 1}, INF, 15)
+@example({(0, 5): 1}, 12, 15)
+@example({(2, 3): 1, (5, 3): 1, (9, 0): 1}, 20, 15)
+@given(walk_supports, st.one_of(st.integers(0, 20), st.just(INF)), st.integers(1, 15))
+def test_staircase_walk_matches_the_series_walk(coeffs, precision, n):
+    # the library keeps one exponent per power of y; the oracle blows up
+    # every term, so multiplicities, determinate and padding must agree
+    c = curve(coeffs, precision)
+    if c.is_zero and precision == INF:
+        for walk in (cluster_multiplicities, series_cluster_walk):
+            with pytest.raises(ValueError, match="zero curve"):
+                walk(c, n)
+    else:
+        assert cluster_multiplicities(c, n) == series_cluster_walk(c, n)
 
 
 # ---------------------------------------------------------------- pullback

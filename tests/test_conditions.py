@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +19,10 @@ from seshadri.conditions import (
     h0_plane,
 )
 from seshadri.covering import KNOWN_PLANE_CONSTANTS
+from seshadri.series import BiSeries, XSeries
+from seshadri.witness import curve_monomials, n8_certificate
+
+from oracles import rational_rref
 
 
 # -------------------------------------------------------- condition count
@@ -180,3 +186,70 @@ def test_multi_point_counts_match_the_plane_constants_where_known():
             else:
                 assert all(n * d * d >= r * m * m for d, m in pairs), (n, r)
     assert len(best) == 14 and best[2, 4] == (24, 17)  # 12/17 = 2 * 6/17
+
+
+def test_plane_constants_are_the_least_exceptional_ratio():
+    # for r <= 9 general points the constant is the least of 1/sqrt(r) and
+    # d/sum(m) over the (-1)-classes (d; m_1..m_r): sum(m) = 3d - 1 and
+    # sum(m^2) = d^2 + 1, where d <= 6 suffices. A rational v is at most
+    # 1/sqrt(r) exactly when v^2 * r <= 1; where 1/sqrt(r) wins, r is a square
+    for r in range(1, 10):
+        ratios = [Fraction(d, 3 * d - 1) for d in range(1, 7)
+                  for mults in combinations_with_replacement(range(d + 1), r)
+                  if sum(mults) == 3 * d - 1 and sum(m * m for m in mults) == d * d + 1]
+        best = min(ratios, default=None)
+        if best is None or best * best * r > 1:
+            assert isqrt(r) ** 2 == r, r
+            best = Fraction(1, isqrt(r))
+        assert KNOWN_PLANE_CONSTANTS[r].value == best, r
+
+
+# ------------------------------------------------- invariant staircase systems
+
+# the degree-8 certificate's branch, and a dense jet with mixed denominators
+STAIRCASE_JETS = (
+    XSeries({2: 1, 4: 1, 8: 1}),
+    XSeries({2: 1, 3: Fraction(-3, 2), 4: 2, 5: Fraction(1, 3), 6: -1, 7: 5,
+             8: Fraction(2, 7), 9: 3, 10: -2, 11: 1, 12: 4}),
+)
+
+
+def staircase(n, m):
+    """Exponents (p, q) with p + n*q < m: the coefficients an invariant
+    divisor must kill to have multiplicity m at the ramification point."""
+    return [(p, q) for q in range(m // n + 1) for p in range(m - n * q)]
+
+
+def staircase_kernel(n, d, m, g):
+    """Kernel dimension of the system on plane curves of degree d whose
+    translate F(x, y + g(x)) has no term on the staircase of (n, m); the
+    column of x^a y^b is the translate of that monomial."""
+    columns = [BiSeries({mono: 1}).translate_y(g).coeffs for mono in curve_monomials(d)]
+    rows = [[column.get(pq, 0) for column in columns] for pq in staircase(n, m)]
+    _, pivots = rational_rref(rows, len(columns))
+    return len(columns) - len(pivots)
+
+
+def test_staircase_rows_are_the_condition_count():
+    for n in range(2, 10):
+        for m in range(31):
+            assert len(staircase(n, m)) == condition_count(n, m), (n, m)
+
+
+def test_staircase_kernels_are_the_expected_dimension():
+    # rank can only drop on a closed set of jets, so the kernel at one
+    # explicit jet bounds the general kernel from above; h0 - conditions
+    # bounds it from below, and the two meet on every table row and on
+    # every discard survivor
+    for g in STAIRCASE_JETS:
+        for n, (d, m, h0, conditions) in REFERENCE_TABLE.items():
+            assert staircase_kernel(n, d, m, g) == h0 - conditions, (n, d, m)
+        for n in range(2, 10):
+            for j, m in discard_search(n):
+                assert staircase_kernel(n, j, m, g) == h0_plane(j) - condition_count(n, m), (n, j, m)
+
+
+def test_staircase_kernel_agrees_with_the_degree_8_certificate():
+    # the cubic double at the origin with contact 9 along y = x^2 + x^4 + x^8
+    # is the staircase system (8; 3, 9), and neither has a solution
+    assert staircase_kernel(8, 3, 9, STAIRCASE_JETS[0]) == 0 == n8_certificate(1).kernel_dim

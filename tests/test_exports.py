@@ -48,7 +48,7 @@ def test_private_names_cross_only_the_listed_module_boundaries():
     # here, in the open. Both a private name imported from another library
     # module and a private attribute of an imported name (Name._attr) count.
     allowed_imports = {("series", "exact", "_pack"), ("series", "exact", "_unpack")}
-    allowed_attributes = {("cluster", "series", "BiSeries._normal")}
+    allowed_attributes = set()
     src = Path(seshadri.__file__).parent
     imports, attributes = set(), set()
     for path in sorted(src.glob("*.py")):
