@@ -28,11 +28,10 @@ from .conditions import (
     h0_plane,
 )
 from .covering import (
-    KNOWN_PLANE_CONSTANTS,
     CoveringSpec,
     SeshadriBounds,
-    nagata_conjectural,
     nagata_upper,
+    plane_constant,
     steffens_bounds,
 )
 from .exact import (
@@ -59,7 +58,6 @@ __all__ = [
     "ClusterResult",
     "CoveringSpec",
     "INF",
-    "KNOWN_PLANE_CONSTANTS",
     "PrecisionError",
     "RatMatrix",
     "SeshadriBounds",
@@ -76,10 +74,10 @@ __all__ = [
     "h0_plane",
     "local_intersection",
     "n8_certificate",
-    "nagata_conjectural",
     "nagata_upper",
     "normalize_branch",
     "order_meets",
+    "plane_constant",
     "pullback_mult",
     "solve_witness",
     "steffens_bounds",

@@ -19,13 +19,7 @@ from fractions import Fraction
 
 from .cluster import MAX_IMPLICIT_PRECISION, cluster_multiplicities, normalize_branch, pullback_mult
 from .conditions import REFERENCE_TABLE, constants_table
-from .covering import (
-    KNOWN_PLANE_CONSTANTS,
-    CoveringSpec,
-    nagata_conjectural,
-    nagata_upper,
-    steffens_bounds,
-)
+from .covering import CoveringSpec, nagata_upper, plane_constant, steffens_bounds
 from .exact import SurdValue
 from .parsing import parse_branch, parse_curve, parse_surd
 from .series import AtLeast, PrecisionError
@@ -323,6 +317,21 @@ def cmd_witness(args) -> tuple[Report, int]:
     return report, EXIT_OK
 
 
+# a classical curve realizing the plane constant at 1..9 very general points:
+# a (-1)-curve, or at 1 and 9 points a curve of self-intersection 0
+_PLANE_CURVES = {
+    1: "a line through the point",
+    2: "the line through both points",
+    3: "a line through two of the points",
+    4: "a line through two of the points",
+    5: "the conic through all five points",
+    6: "a conic through five of the points",
+    7: "a cubic double at one point, through the other six",
+    8: "a sextic triple at one point, double at the other seven",
+    9: "the cubic through all nine points",
+}
+
+
 def cmd_nagata(args) -> tuple[Report, int]:
     spec = CoveringSpec(n=args.n)
     if args.r < 1:
@@ -335,20 +344,21 @@ def cmd_nagata(args) -> tuple[Report, int]:
             raise UsageError("--eps must be positive")
         source = "user-supplied"
     elif args.conjecture and points >= 10:
-        eps = nagata_conjectural(points)
+        eps = plane_constant(points)
         if eps.is_rational:
             source = "known (square point count)"
         else:
             source = "conjectural"
             notes.append(f"1/sqrt({points}) is conjectural for non-square point counts")
     else:
-        known = KNOWN_PLANE_CONSTANTS.get(points)
-        if known is None:
-            raise UsageError(f"no bundled constant for more than {max(KNOWN_PLANE_CONSTANTS)} "
+        # past 9 points plane_constant gives 1/sqrt(points), which only --conjecture may use
+        curve = _PLANE_CURVES.get(points)
+        if curve is None:
+            raise UsageError(f"no bundled constant for more than {max(_PLANE_CURVES)} "
                              "points; pass --eps or --conjecture")
-        eps = SurdValue(known.value)
+        eps = plane_constant(points)
         source = "known"
-        notes.append(f"bundled classical value realized by {known.exceptional_curve}")
+        notes.append(f"bundled classical value realized by {curve}")
         if args.conjecture:
             notes.append("small point count: bundled known value used instead of the conjecture")
     bound = nagata_upper(spec, eps)

@@ -19,9 +19,7 @@ __all__ = [
     "SeshadriBounds",
     "steffens_bounds",
     "nagata_upper",
-    "nagata_conjectural",
-    "KnownConstant",
-    "KNOWN_PLANE_CONSTANTS",
+    "plane_constant",
 ]
 
 
@@ -81,37 +79,32 @@ def nagata_upper(spec: CoveringSpec, eps_downstairs: SurdValue) -> SurdValue:
     return SurdValue(spec.n * eps_downstairs.coeff, eps_downstairs.radicand)
 
 
-def nagata_conjectural(points: int) -> SurdValue:
-    """Conjectural maximal value 1/sqrt(points) for points >= 9.
+def plane_constant(points: int) -> SurdValue:
+    """Seshadri constant of O(1) at `points` very general points of the plane.
 
-    For perfect squares this value is an established theorem; for other
-    counts it is the Nagata conjecture and callers should flag it as such.
-    Counts below 9 are rejected; use the bundled table of known constants.
+    Up to 9 points: the least of 1/sqrt(points) and d/(3d - 1) over the
+    (-1)-classes (d; m_1..m_points), with sum(m) = 3d - 1 and sum(m^2) =
+    d^2 + 1 (Nagata, Amer. J. Math. 81, 1959); up to 8 points they all have
+    d <= 6, and at 9 no d/(3d - 1) is below 1/3. Beyond: 1/sqrt(points), a
+    theorem for square counts and the Nagata conjecture otherwise.
     """
-    if points < 9:
-        raise ValueError("conjectural value is stated for at least 9 points")
+    if points < 1:
+        raise ValueError("number of points must be positive")
+    if points <= 9:
+        # d/(3d - 1) falls as d grows, so the largest d with a class decides;
+        # a rational v is at most 1/sqrt(points) exactly when v^2 * points <= 1
+        ratio = next((Fraction(d, 3 * d - 1) for d in range(6, 0, -1)
+                      if _splits(3 * d - 1, d * d + 1, points, d)), None)
+        if ratio is not None and ratio * ratio * points <= 1:
+            return SurdValue(ratio)
     return SurdValue(Fraction(1, points), points)
 
 
-@dataclass(frozen=True)
-class KnownConstant:
-    """A classical multi-point Seshadri constant of O(1) on the plane."""
-
-    value: Fraction
-    exceptional_curve: str
-
-
-# Known values of the Seshadri constant of O(1) at 1..9 very general plane
-# points, keyed by the point count, each with the classical curve realizing
-# it. Reference data for callers; nothing in this package derives them.
-KNOWN_PLANE_CONSTANTS: dict[int, KnownConstant] = {
-    1: KnownConstant(Fraction(1), "a line through the point"),
-    2: KnownConstant(Fraction(1, 2), "the line through both points"),
-    3: KnownConstant(Fraction(1, 2), "a line through two of the points"),
-    4: KnownConstant(Fraction(1, 2), "a line through two of the points"),
-    5: KnownConstant(Fraction(2, 5), "the conic through all five points"),
-    6: KnownConstant(Fraction(2, 5), "a conic through five of the points"),
-    7: KnownConstant(Fraction(3, 8), "a cubic double at one point, through the other six"),
-    8: KnownConstant(Fraction(6, 17), "a sextic triple at one point, double at the other seven"),
-    9: KnownConstant(Fraction(1, 3), "the cubic through all nine points"),
-}
+def _splits(total: int, squares: int, parts: int, top: int) -> bool:
+    """Whether `parts` non-increasing integers in [0, top] sum to total, squares to squares."""
+    if total * total > parts * squares:  # Cauchy-Schwarz; also squares < 0
+        return False
+    if parts == 0:
+        return squares == 0
+    return any(_splits(total - m, squares - m * m, parts - 1, m)
+               for m in range(min(top, total), -1, -1))

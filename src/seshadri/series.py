@@ -372,12 +372,14 @@ class BiSeries(_Series):
         for _ in range(top):
             powers.append(mul(powers[-1], gs, prec, {}))
         # x^p (y + g)^q = sum_j C(q, j) x^p g^(q-j) y^j, collected by j over
-        # the one denominator df * dg^top
+        # the one denominator df * dg^top; a power of g with no terms (every
+        # power past the first when g = 0) adds nothing
         rows: dict[int, dict[int, int]] = {}
         for (p, q), n in fs.items():
             for j in range(q + 1):
-                mul({p: n * comb(q, j) * dg ** (top - q + j)}, powers[q - j], prec - j,
-                    rows.setdefault(j, {}))
+                if powers[q - j]:
+                    mul({p: n * comb(q, j) * dg ** (top - q + j)}, powers[q - j], prec - j,
+                        rows.setdefault(j, {}))
         den = df * dg ** top
         return BiSeries._from_rows({j: _fractions(row, den) for j, row in rows.items()}, prec)
 

@@ -15,11 +15,7 @@ from fractions import Fraction
 from seshadri.cli import main as cli_main
 from seshadri.cluster import BranchJet, cluster_multiplicities, pullback_mult
 from seshadri.conditions import candidate_search, constants_table, discard_search
-from seshadri.covering import (
-    KNOWN_PLANE_CONSTANTS,
-    CoveringSpec,
-    steffens_bounds,
-)
+from seshadri.covering import CoveringSpec, plane_constant, steffens_bounds
 from seshadri.exact import SurdValue
 from seshadri.intersection import local_intersection
 from seshadri.series import AtLeast, BiSeries, XSeries
@@ -141,9 +137,8 @@ def test_criterion_08_bound_coincidence():
 
 
 def test_criterion_09_known_constant_cross_check():
-    ok = all(n * KNOWN_PLANE_CONSTANTS[n].value == cand.epsilon
-             for n, cand in constants_table())
-    _report(9, "degree times the known plane constant reproduces every table entry", ok)
+    ok = all(plane_constant(n) == SurdValue(cand.epsilon / n) for n, cand in constants_table())
+    _report(9, "degree times the computed plane constant reproduces every table entry", ok)
 
 
 def test_criterion_10_intersection_oracle():

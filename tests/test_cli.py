@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -323,6 +324,42 @@ def test_nagata_known_small_count(capsys):
     assert code == 0
     assert "bound\t3" in out
     assert "eps_source\tknown" in out
+
+
+# eps(O(1); k) at k very general plane points, and the curve the report names
+PLANE_CONSTANTS = {
+    1: ("1", "a line through the point"),
+    2: ("1/2", "the line through both points"),
+    3: ("1/2", "a line through two of the points"),
+    4: ("1/2", "a line through two of the points"),
+    5: ("2/5", "the conic through all five points"),
+    6: ("2/5", "a conic through five of the points"),
+    7: ("3/8", "a cubic double at one point, through the other six"),
+    8: ("6/17", "a sextic triple at one point, double at the other seven"),
+    9: ("1/3", "the cubic through all nine points"),
+}
+
+
+@pytest.mark.parametrize("n, r", [(n, r) for n in range(2, 10) for r in range(1, 9 // n + 1)])
+@pytest.mark.parametrize("conjecture", [[], ["--conjecture"]])
+def test_nagata_known_constant_at_every_small_point_count(capsys, n, r, conjecture):
+    eps, curve = PLANE_CONSTANTS[n * r]
+    bound = str(n * Fraction(eps))
+    notes = [f"bundled classical value realized by {curve}"]
+    if conjecture:
+        notes.append("small point count: bundled known value used instead of the conjecture")
+    code, out, _ = run(capsys, "nagata", f"--n={n}", f"--r={r}", *conjecture)
+    assert code == 0
+    lines = out.splitlines()
+    assert {"# input.eps\t" + eps, "bound\t" + bound, "eps_source\tknown"} <= set(lines)
+    assert [line for line in lines if line.startswith("# provenance")][1:] == \
+        ["# provenance\t" + note for note in notes]
+    code, out, _ = run(capsys, "nagata", f"--n={n}", f"--r={r}", *conjecture, "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["inputs"]["eps"], report["results"]["bound"]) == (eps, bound)
+    assert report["results"]["eps_source"] == "known"
+    assert report["provenance"][1:] == notes
 
 
 def test_nagata_user_supplied(capsys):

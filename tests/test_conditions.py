@@ -18,7 +18,8 @@ from seshadri.conditions import (
     discard_search,
     h0_plane,
 )
-from seshadri.covering import KNOWN_PLANE_CONSTANTS
+from seshadri.covering import plane_constant
+from seshadri.exact import SurdValue
 from seshadri.series import BiSeries, XSeries
 from seshadri.witness import curve_monomials, n8_certificate
 
@@ -159,10 +160,10 @@ def test_constants_table_with_tight_dmax():
 
 
 def test_table_consistent_with_known_plane_constants():
-    # scaling the known n-point constant of the plane by the covering degree
+    # scaling the computed n-point constant of the plane by the covering degree
     # reproduces every table entry
     for n, cand in constants_table():
-        assert n * KNOWN_PLANE_CONSTANTS[n].value == cand.epsilon
+        assert plane_constant(n) == SurdValue(cand.epsilon / n)
 
 
 def test_multi_point_counts_match_the_plane_constants_where_known():
@@ -181,7 +182,7 @@ def test_multi_point_counts_match_the_plane_constants_where_known():
                 pairs.append((d, m))
             if n * r <= 9:
                 ratio, d, m = min((Fraction(n * d, r * m), d, m) for d, m in pairs if m)
-                assert ratio == n * KNOWN_PLANE_CONSTANTS[n * r].value, (n, r)
+                assert SurdValue(ratio / n) == plane_constant(n * r), (n, r)
                 best[n, r] = d, m
             else:
                 assert all(n * d * d >= r * m * m for d, m in pairs), (n, r)
@@ -192,7 +193,8 @@ def test_plane_constants_are_the_least_exceptional_ratio():
     # for r <= 9 general points the constant is the least of 1/sqrt(r) and
     # d/sum(m) over the (-1)-classes (d; m_1..m_r): sum(m) = 3d - 1 and
     # sum(m^2) = d^2 + 1, where d <= 6 suffices. A rational v is at most
-    # 1/sqrt(r) exactly when v^2 * r <= 1; where 1/sqrt(r) wins, r is a square
+    # 1/sqrt(r) exactly when v^2 * r <= 1; where 1/sqrt(r) wins, r is a square.
+    # This enumeration is the oracle for plane_constant's own search
     for r in range(1, 10):
         ratios = [Fraction(d, 3 * d - 1) for d in range(1, 7)
                   for mults in combinations_with_replacement(range(d + 1), r)
@@ -201,7 +203,7 @@ def test_plane_constants_are_the_least_exceptional_ratio():
         if best is None or best * best * r > 1:
             assert isqrt(r) ** 2 == r, r
             best = Fraction(1, isqrt(r))
-        assert KNOWN_PLANE_CONSTANTS[r].value == best, r
+        assert plane_constant(r) == SurdValue(best), r
 
 
 # ------------------------------------------------- invariant staircase systems

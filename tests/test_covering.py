@@ -7,13 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from seshadri.covering import (
-    KNOWN_PLANE_CONSTANTS,
-    CoveringSpec,
-    nagata_conjectural,
-    nagata_upper,
-    steffens_bounds,
-)
+from seshadri.covering import CoveringSpec, nagata_upper, plane_constant, steffens_bounds
 from seshadri.exact import SurdValue, surd_compare
 
 from oracles import is_perfect_square, numeric_inequality_check
@@ -109,23 +103,25 @@ def test_nagata_upper_scales_linearly(n, eps, radicand):
     assert single == SurdValue(n * eps, radicand)
 
 
-def test_nagata_conjectural_values():
-    assert nagata_conjectural(9) == SurdValue(Fraction(1, 3))
-    assert nagata_conjectural(16) == SurdValue(Fraction(1, 4))
-    assert nagata_conjectural(10) == SurdValue(Fraction(1, 10), 10)
+# ------------------------------------------------------- plane constants
 
+# the Seshadri constant of O(1) at r very general plane points, from the
+# literature (Nagata 1959; Bauer et al., "A primer on Seshadri constants")
+LITERATURE_PLANE_CONSTANTS = {
+    1: SurdValue(Fraction(1)), 2: SurdValue(Fraction(1, 2)), 3: SurdValue(Fraction(1, 2)),
+    4: SurdValue(Fraction(1, 2)), 5: SurdValue(Fraction(2, 5)), 6: SurdValue(Fraction(2, 5)),
+    7: SurdValue(Fraction(3, 8)), 8: SurdValue(Fraction(6, 17)), 9: SurdValue(Fraction(1, 3)),
+    # 1/sqrt(r): a theorem for square r, the Nagata conjecture otherwise
+    10: SurdValue(Fraction(1, 10), 10), 16: SurdValue(Fraction(1, 4)),
+}
 
-def test_nagata_conjectural_rejects_small_counts():
-    with pytest.raises(ValueError):
-        nagata_conjectural(8)
-
-
-# ------------------------------------------------------------ known table
 
 def test_known_constants_values():
-    expected = {1: Fraction(1), 2: Fraction(1, 2), 3: Fraction(1, 2), 4: Fraction(1, 2),
-                5: Fraction(2, 5), 6: Fraction(2, 5), 7: Fraction(3, 8),
-                8: Fraction(6, 17), 9: Fraction(1, 3)}
-    assert {k: v.value for k, v in KNOWN_PLANE_CONSTANTS.items()} == expected
-    for record in KNOWN_PLANE_CONSTANTS.values():
-        assert record.exceptional_curve
+    for r, value in LITERATURE_PLANE_CONSTANTS.items():
+        assert plane_constant(r) == value, r
+
+
+def test_plane_constant_rejects_fewer_than_one_point():
+    with pytest.raises(ValueError):
+        plane_constant(0)
+    assert plane_constant(8) == SurdValue(Fraction(6, 17))

@@ -353,6 +353,17 @@ def test_translate_identity_branch():
     assert c.translate_y(XSeries({})) == c
 
 
+def test_translate_by_zero_multiplies_by_no_empty_power(monkeypatch):
+    # every power of g = 0 past the first is empty and adds nothing; the full
+    # binomial expansion would make about 48,000 _imul calls on these 2080 terms
+    c = BiSeries({(0, 0): 1, (1, 0): 1, (0, 1): 1}) ** 63 * BiSeries({(0, 1): 1})
+    calls = []
+    monkeypatch.setattr(series, "_imul",
+                        lambda a, b, cap, out: calls.append(1) or _imul(a, b, cap, out))
+    assert c.translate_y(XSeries({})) == c
+    assert len(calls) <= 2 * len(c.coeffs)
+
+
 def test_translate_expands_square():
     c = BiSeries({(0, 2): 1, (3, 0): -1})  # y^2 - x^3
     out = c.translate_y(XSeries({2: 1}))
