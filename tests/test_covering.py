@@ -111,14 +111,19 @@ LITERATURE_PLANE_CONSTANTS = {
     1: SurdValue(Fraction(1)), 2: SurdValue(Fraction(1, 2)), 3: SurdValue(Fraction(1, 2)),
     4: SurdValue(Fraction(1, 2)), 5: SurdValue(Fraction(2, 5)), 6: SurdValue(Fraction(2, 5)),
     7: SurdValue(Fraction(3, 8)), 8: SurdValue(Fraction(6, 17)), 9: SurdValue(Fraction(1, 3)),
-    # 1/sqrt(r): a theorem for square r, the Nagata conjecture otherwise
-    10: SurdValue(Fraction(1, 10), 10), 16: SurdValue(Fraction(1, 4)),
 }
 
 
 def test_known_constants_values():
     for r, value in LITERATURE_PLANE_CONSTANTS.items():
         assert plane_constant(r) == value, r
+
+
+def test_nagata_conjectural_values():
+    # 1/sqrt(r) from 9 points on: a theorem for square r, the Nagata conjecture otherwise
+    assert plane_constant(9) == SurdValue(Fraction(1, 3))
+    assert plane_constant(16) == SurdValue(Fraction(1, 4))
+    assert plane_constant(10) == SurdValue(Fraction(1, 10), 10)
 
 
 def test_plane_constant_rejects_fewer_than_one_point():
